@@ -33,7 +33,7 @@ from .errors import (
     NoValidDecomposition,
     TruncationError,
 )
-from .gram import build_gram, decompose_grid, verify_decomposition
+from .gram import build_gram, decompose_grid
 from .lowrank import LowRankDictionary
 from .raised_cosine import RaisedCosineKernel
 from .taylor import TaylorApproximation
@@ -56,28 +56,27 @@ def _theta_header(dim: int) -> list[str]:
     return [f"theta{a + 1}" for a in range(dim)]
 
 
-def _build_dictionary(cfg: ExperimentConfig) -> LowRankDictionary:
-    gram = build_gram(
-        cfg.kernel, cfg.grid, condition_limit=cfg.tolerances.condition_limit
+def _build_dictionary(
+    cfg: ExperimentConfig, rc: RaisedCosineKernel | None = None, check: bool = True
+) -> LowRankDictionary:
+    """The dictionary of the config's node grid, every subcommand's build path.
+
+    ``rc`` replaces the freshly decomposed raised-cosine kernel; ``check``
+    is passed on to :class:`LowRankDictionary`.
+    """
+    tol = cfg.tolerances
+    gram = build_gram(cfg.kernel, cfg.grid, condition_limit=tol.condition_limit)
+    if rc is None:
+        rc = decompose_grid(cfg.kernel, cfg.grid, residual_tol=tol.residual)
+    return LowRankDictionary(
+        cfg.kernel, gram, rc, residual_tol=tol.residual, check=check
     )
-    rc = decompose_grid(cfg.kernel, cfg.grid, residual_tol=cfg.tolerances.residual)
-    return LowRankDictionary(cfg.kernel, gram, rc, residual_tol=cfg.tolerances.residual)
 
 
 def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:
     """Decompose the node Gram matrix and write kernel + quality report."""
-    gram = build_gram(
-        cfg.kernel, cfg.grid, condition_limit=cfg.tolerances.condition_limit
-    )
-    rc = decompose_grid(cfg.kernel, cfg.grid, residual_tol=cfg.tolerances.residual)
-    report = verify_decomposition(
-        gram, rc, residual_tol=cfg.tolerances.residual, psd_tol=cfg.tolerances.psd_margin
-    )
-    if report.residual > cfg.tolerances.residual:
-        raise NoValidDecomposition(
-            f"full-grid residual {report.residual:.3e} exceeds tolerance "
-            f"{cfg.tolerances.residual:g}"
-        )
+    ld = _build_dictionary(cfg)
+    rc, report = ld.rc, ld.report
     rc.to_json(out / "kernel.json")
     _write_json(
         out / "decompose_report.json",
@@ -87,12 +86,12 @@ def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:
             "lambda0": rc.lambda0,
             "residual": report.residual,
             "psd_margin": report.psd_margin,
-            "condition_number": gram.condition_number,
+            "condition_number": ld.gram.condition_number,
         },
     )
     print(
         f"decomposed rank {rc.rank}: {rc.num_terms} cosine term(s), "
-        f"residual {report.residual:.3e}, condition {gram.condition_number:.3e}"
+        f"residual {report.residual:.3e}, condition {ld.gram.condition_number:.3e}"
     )
     return 0
 
@@ -229,19 +228,15 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
     """Run the full invariant suite; exit 3 when any check fails."""
-    gram = build_gram(
-        cfg.kernel, cfg.grid, condition_limit=cfg.tolerances.condition_limit
-    )
+    rc = None
     if args.kernel_json:
         rc = RaisedCosineKernel.from_json(args.kernel_json, dim=cfg.kernel.dim)
-    else:
-        rc = decompose_grid(cfg.kernel, cfg.grid, residual_tol=cfg.tolerances.residual)
-    ld = LowRankDictionary(cfg.kernel, gram, rc, check=False)
+    ld = _build_dictionary(cfg, rc, check=False)
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     checks = []
 
-    structure = rc.validate()
+    structure = ld.rc.validate()
     entry = {
         "name": "structure",
         "passed": structure.ok,
@@ -281,9 +276,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
 
     pairs_a = cfg.evaluation.sample(rng, cfg.num_pairs)
     pairs_b = cfg.evaluation.sample(rng, cfg.num_pairs)
-    match = float(
-        np.max(np.abs(ld.approx_inner(pairs_a, pairs_b) - rc.eval(pairs_a - pairs_b)))
-    )
+    exact = ld.rc.eval(pairs_a - pairs_b)
+    match = float(np.max(np.abs(ld.approx_inner(pairs_a, pairs_b) - exact)))
     checks.append(
         {
             "name": "kernel_match",

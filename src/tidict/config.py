@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from .errors import ConfigError, TidictError
-from .gram import CONDITION_LIMIT, RESIDUAL_TOL, NodeGrid
+from .gram import CONDITION_LIMIT, PSD_TOL, RESIDUAL_TOL, NodeGrid
 from .kernels import DiscreteEmbedding, GaussianIsotropicKernel, ParamBox
 from .lowrank import SelectAtomSettings
 
@@ -36,7 +36,7 @@ class Tolerances:
     node_interpolation: float = 1e-7
     kernel_match: float = 1e-10
     unit_norm: float = 1e-10
-    psd_margin: float = 1e-10
+    psd_margin: float = PSD_TOL
     rank_svals: float = 1e-8
     condition_limit: float = CONDITION_LIMIT
 
@@ -201,7 +201,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         node_interpolation=float(tol.get("node_interpolation", 1e-7)),
         kernel_match=float(tol.get("kernel_match", 1e-10)),
         unit_norm=float(tol.get("unit_norm", 1e-10)),
-        psd_margin=float(tol.get("psd_margin", 1e-10)),
+        psd_margin=float(tol.get("psd_margin", PSD_TOL)),
         rank_svals=float(tol.get("rank_svals", 1e-8)),
         condition_limit=float(tol.get("condition_limit", CONDITION_LIMIT)),
     )

@@ -20,9 +20,10 @@ the remaining root count at ``K = floor(L / 2)``.
 
 Multi-dimensional grids are handled separably: each axis is decomposed on
 its own, then the product of per-axis kernels is expanded into a flat
-cosine sum via the product-to-sum identity.  The resulting term count again
-satisfies ``K = floor(L / 2)`` with ``L`` the total node count, and the
-Gram matrix is the Kronecker product of the per-axis Toeplitz factors.
+cosine sum as the Kronecker product of the per-axis spectra.  The resulting
+term count again satisfies ``K = floor(L / 2)`` with ``L`` the total node
+count, and the Gram matrix is the Kronecker product of the per-axis
+Toeplitz factors.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 import numpy.polynomial.chebyshev as ncheb
-import scipy.linalg
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
 from .kernels import TIKernel
@@ -53,6 +53,7 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 RESIDUAL_TOL = 1e-8
+PSD_TOL = 1e-10
 ROOT_IMAG_TOL = 1e-9
 ROOT_RANGE_TOL = 1e-9
 
@@ -114,7 +115,7 @@ class NodeGrid:
 
 
 class GramSystem:
-    """A node Gram matrix with its Cholesky factorization.
+    """A positive definite node Gram matrix.
 
     Wraps ``G[i, j] = kappa(theta_i - theta_j)`` together with the
     machinery needed downstream: linear solves against ``G``, the explicit
@@ -126,8 +127,6 @@ class GramSystem:
         self,
         matrix: np.ndarray,
         nodes: np.ndarray,
-        grid: NodeGrid | None = None,
-        structure: str = "general",
         condition_limit: float = CONDITION_LIMIT,
     ):
         matrix = np.asarray(matrix, dtype=float)
@@ -137,8 +136,6 @@ class GramSystem:
             raise DomainError("node count does not match Gram size")
         self.matrix = matrix
         self.nodes = np.asarray(nodes, dtype=float)
-        self.grid = grid
-        self.structure = structure
         self.condition_number = float(np.linalg.cond(matrix))
         if not math.isfinite(self.condition_number) or (
             self.condition_number > condition_limit
@@ -148,8 +145,8 @@ class GramSystem:
                 f"limit {condition_limit:.3e}"
             )
         try:
-            self._cho = scipy.linalg.cho_factor(matrix, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError as exc:
             raise IllConditionedError(
                 f"Gram matrix is not positive definite: {exc}"
             ) from exc
@@ -164,16 +161,12 @@ class GramSystem:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``G x = rhs`` for a vector or a stack of columns."""
-        return scipy.linalg.cho_solve(self._cho, rhs)
+        return np.linalg.solve(self.matrix, rhs)
 
     @cached_property
     def inverse(self) -> np.ndarray:
         inv = self.solve(np.eye(self.size))
         return 0.5 * (inv + inv.T)
-
-    @property
-    def first_row(self) -> np.ndarray:
-        return self.matrix[0].copy()
 
 
 def build_gram(
@@ -196,26 +189,25 @@ def build_gram(
         Raise :class:`IllConditionedError` beyond this condition number.
     """
     if isinstance(nodes, NodeGrid):
-        grid = nodes
-        if grid.dim != kernel.dim:
+        if nodes.dim != kernel.dim:
             raise DomainError(
-                f"grid dimension {grid.dim} != kernel dimension {kernel.dim}"
+                f"grid dimension {nodes.dim} != kernel dimension {kernel.dim}"
             )
-        idx = grid.indices
-        delta = (idx[:, None, :] - idx[None, :, :]) * grid.spacing
-        L = grid.size
-        matrix = kernel.eval(delta.reshape(L * L, grid.dim)).reshape(L, L)
-        structure = "toeplitz" if grid.dim == 1 else "kronecker"
-        return GramSystem(matrix, grid.nodes, grid, structure, condition_limit)
-    pts = np.asarray(nodes, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] != kernel.dim:
-        raise DomainError(f"nodes must have shape (L, {kernel.dim}), got {pts.shape}")
-    delta = pts[:, None, :] - pts[None, :, :]
+        idx = nodes.indices
+        delta = (idx[:, None, :] - idx[None, :, :]) * nodes.spacing
+        pts = nodes.nodes
+    else:
+        pts = np.asarray(nodes, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2 or pts.shape[1] != kernel.dim:
+            raise DomainError(
+                f"nodes must have shape (L, {kernel.dim}), got {pts.shape}"
+            )
+        delta = pts[:, None, :] - pts[None, :, :]
     L = pts.shape[0]
     matrix = kernel.eval(delta.reshape(L * L, kernel.dim)).reshape(L, L)
-    return GramSystem(matrix, pts, None, "general", condition_limit)
+    return GramSystem(matrix, pts, condition_limit)
 
 
 def _cheb_annihilator(y: np.ndarray, degree: int) -> np.ndarray:
@@ -340,15 +332,19 @@ def decompose_gram_1d(
     )
 
 
-def _canonical_key(vec: np.ndarray) -> tuple:
-    """Sign-canonical tuple key for a frequency vector (+0.0 normalized)."""
-    v = np.asarray(vec, dtype=float)
-    for c in v:
-        if c != 0.0:
-            if c < 0.0:
-                v = -v
-            break
-    return tuple(float(c + 0.0) for c in v)
+def _axis_spectrum(rc: RaisedCosineKernel) -> tuple[np.ndarray, np.ndarray]:
+    """A 1-D kernel over its symmetric spectrum ``{0, +-w_k}``.
+
+    Returns weights ``{lambda0, lambda_k / 2, lambda_k / 2}`` and the matching
+    frequencies; the zero frequency is left out when ``lambda0 = 0``.
+    """
+    w = rc.freqs[:, 0]
+    half = 0.5 * rc.weights
+    weights, freqs = np.concatenate([half, half]), np.concatenate([w, -w])
+    if rc.lambda0 != 0.0:
+        weights = np.concatenate([[rc.lambda0], weights])
+        freqs = np.concatenate([[0.0], freqs])
+    return weights, freqs
 
 
 def decompose_gram_separable(
@@ -356,12 +352,15 @@ def decompose_gram_separable(
 ) -> RaisedCosineKernel:
     """Combine per-axis 1-D raised-cosine kernels into one multi-D kernel.
 
-    The product of the axis kernels is expanded into a flat cosine sum with
-    the identity ``cos(a) cos(b) = (cos(a+b) + cos(a-b)) / 2``; terms whose
-    frequency vectors coincide up to sign are merged.  The result has rank
-    equal to the product of the axis ranks, with the term count again
-    ``floor(rank / 2)``; if accidental frequency collisions break that
-    count, :class:`NoValidDecomposition` is raised.
+    Over their symmetric spectra the product of the axis kernels is a sum
+    of complex exponentials: the weights are the Kronecker product of the
+    axis weights and the frequencies the Cartesian product of the axis
+    frequencies.  Each ``+-`` pair of frequency vectors folds into one
+    cosine term of twice the weight, kept with its first nonzero component
+    positive; the all-zero vector is the constant term.  The result has
+    rank equal to the product of the axis ranks; if it fails the structural
+    invariants of :meth:`RaisedCosineKernel.validate` (for instance because
+    axis frequencies collide), :class:`NoValidDecomposition` is raised.
     """
     if len(per_axis) == 0:
         raise DomainError("need at least one axis kernel")
@@ -369,59 +368,28 @@ def decompose_gram_separable(
         if rc.dim != 1:
             raise DomainError("decompose_gram_separable expects 1-D kernels per axis")
 
-    dim = len(per_axis)
-    # accumulate signed half-weight cosine terms, keyed by canonical frequency
-    terms: dict = {(0.0,) * dim: per_axis[0].lambda0}
-    for k in range(per_axis[0].num_terms):
-        vec = np.zeros(dim)
-        vec[0] = per_axis[0].freqs[k, 0]
-        terms[_canonical_key(vec)] = float(per_axis[0].weights[k])
-    for axis in range(1, dim):
-        rc = per_axis[axis]
-        new: dict = {}
-        for key, wgt in sorted(terms.items()):
-            base = np.array(key)
-            if rc.lambda0 != 0.0:
-                k0 = _canonical_key(base)
-                new[k0] = new.get(k0, 0.0) + wgt * rc.lambda0
-            for k in range(rc.num_terms):
-                vec = np.zeros(dim)
-                vec[axis] = rc.freqs[k, 0]
-                half = 0.5 * wgt * float(rc.weights[k])
-                for sign in (1.0, -1.0):
-                    kk = _canonical_key(base + sign * vec)
-                    new[kk] = new.get(kk, 0.0) + half
-        terms = new
-
-    rank = int(np.prod([rc.rank for rc in per_axis]))
-    lambda0 = terms.pop((0.0,) * dim, 0.0)
-    items = sorted((k, v) for k, v in terms.items() if abs(v) >= WEIGHT_PRUNE_TOL)
-    weights = np.array([v for _, v in items])
-    freqs = np.array([k for k, _ in items]).reshape(-1, dim)
-
-    expected_terms = rank // 2
-    if len(items) != expected_terms:
-        raise NoValidDecomposition(
-            f"separable expansion produced {len(items)} distinct terms, "
-            f"expected {expected_terms}; axis frequencies collide"
+    weights, freqs = np.ones(1), np.zeros((1, 0))
+    for rc in per_axis:
+        w, f = _axis_spectrum(rc)
+        weights = np.kron(weights, w)
+        freqs = np.column_stack(
+            [np.repeat(freqs, f.size, axis=0), np.tile(f, freqs.shape[0])]
         )
-    if weights.size and np.min(weights) < WEIGHT_PRUNE_TOL:
-        raise NoValidDecomposition(
-            f"separable expansion produced nonpositive weights: {weights.tolist()}"
-        )
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            d = min(
-                float(np.linalg.norm(freqs[i] - freqs[j])),
-                float(np.linalg.norm(freqs[i] + freqs[j])),
-            )
-            if d < FREQ_DISTINCT_TOL:
-                raise NoValidDecomposition(
-                    f"separable frequencies {i} and {j} coincide up to sign"
-                )
-    return RaisedCosineKernel(
-        dim=dim, lambda0=lambda0, weights=weights, freqs=freqs, rank=rank
+
+    nonzero = freqs != 0.0
+    lead = freqs[np.arange(freqs.shape[0]), np.argmax(nonzero, axis=1)]
+    keep = lead > 0.0
+    rc = RaisedCosineKernel(
+        dim=len(per_axis),
+        lambda0=float(np.sum(weights[~np.any(nonzero, axis=1)])),
+        weights=2.0 * weights[keep],
+        freqs=freqs[keep],
+        rank=int(np.prod([axis.rank for axis in per_axis])),
     )
+    report = rc.validate()
+    if not report.ok:
+        raise NoValidDecomposition(f"separable expansion is invalid: {report}")
+    return rc
 
 
 def decompose_grid(
@@ -458,8 +426,8 @@ class DecompositionReport:
 
     ``residual`` is the worst absolute mismatch over all node pairs,
     ``psd_margin`` the smallest eigenvalue of the raised-cosine Gram (it
-    should be nonnegative up to roundoff), and ``ok`` whether both pass
-    their tolerances.
+    should be nonnegative up to roundoff), and ``ok`` whether the residual
+    is within tolerance and the margin above ``-PSD_TOL``.
     """
 
     residual: float
@@ -478,7 +446,6 @@ def verify_decomposition(
     gram: GramSystem,
     rc: RaisedCosineKernel,
     residual_tol: float = RESIDUAL_TOL,
-    psd_tol: float = 1e-10,
 ) -> DecompositionReport:
     """Check that ``rc`` reproduces the Gram matrix on its node differences."""
     delta = gram.nodes[:, None, :] - gram.nodes[None, :, :]
@@ -486,5 +453,5 @@ def verify_decomposition(
     rc_gram = rc.eval(delta.reshape(L * L, gram.dim)).reshape(L, L)
     residual = float(np.max(np.abs(rc_gram - gram.matrix)))
     psd_margin = float(np.linalg.eigvalsh(0.5 * (rc_gram + rc_gram.T))[0])
-    ok = residual <= residual_tol and psd_margin >= -psd_tol
+    ok = residual <= residual_tol and psd_margin >= -PSD_TOL
     return DecompositionReport(residual=residual, psd_margin=psd_margin, ok=ok)

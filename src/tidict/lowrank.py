@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NoValidDecomposition
 from .gram import (
+    CONDITION_LIMIT,
     RESIDUAL_TOL,
     GramSystem,
     NodeGrid,
@@ -102,7 +102,7 @@ class LowRankDictionary:
         kernel: TIKernel,
         grid: NodeGrid,
         residual_tol: float = RESIDUAL_TOL,
-        condition_limit: float = 1e12,
+        condition_limit: float = CONDITION_LIMIT,
     ) -> "LowRankDictionary":
         """Build the Gram system and its decomposition for a node grid."""
         gram = build_gram(kernel, grid, condition_limit=condition_limit)
@@ -133,10 +133,6 @@ class LowRankDictionary:
         delta = pts[:, None, :] - self.nodes[None, :, :]
         c = self.rc.eval(delta.reshape(-1, self.dim)).reshape(pts.shape[0], self.rank)
         return c[0] if single else c
-
-    def dual_atom_coords(self) -> np.ndarray:
-        """Coordinates of the dual atoms in the node-atom basis (rows of ``G^-1``)."""
-        return self.gram.inverse.copy()
 
     # ------------------------------------------------------------------
     # inner products and errors
@@ -195,25 +191,6 @@ class LowRankDictionary:
 
     # ------------------------------------------------------------------
     # continuous atom selection
-
-    def correlation(self, projections: np.ndarray):
-        """Correlation surrogate ``f(theta) = sum_l c_l(theta) p_l``.
-
-        ``projections`` are the inner products of a signal with the dual
-        atoms; ``f`` then interpolates the signal's correlation with the
-        approximated atoms.  Returns a callable evaluating a stack of
-        parameters.
-        """
-        p = np.asarray(projections, dtype=float)
-        if p.shape != (self.rank,):
-            raise DomainError(f"projections must have shape ({self.rank},)")
-        const, alpha, beta = self._trig_coeffs(p)
-
-        def f(thetas: np.ndarray) -> np.ndarray:
-            ph = thetas @ self.rc.freqs.T
-            return const + np.cos(ph) @ alpha + np.sin(ph) @ beta
-
-        return f
 
     def _trig_coeffs(self, p: np.ndarray):
         """Collapse node sums: f(theta) = const + sum_k alpha_k cos + beta_k sin."""
@@ -304,9 +281,9 @@ class LowRankDictionary:
             if np.linalg.norm(free) <= settings.grad_tol:
                 break
             try:
-                factor = scipy.linalg.cho_factor(-hess)
-                step = scipy.linalg.cho_solve(factor, grad)
-            except scipy.linalg.LinAlgError:
+                np.linalg.cholesky(-hess)  # definiteness test
+                step = np.linalg.solve(-hess, grad)
+            except np.linalg.LinAlgError:
                 step = grad  # Hessian not negative definite here: steepest ascent
             if step @ grad <= 0.0:
                 step = grad

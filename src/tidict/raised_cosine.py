@@ -193,16 +193,17 @@ class RaisedCosineKernel:
         if np.any(self.weights <= 0.0):
             bad = self.weights[self.weights <= 0.0]
             issues.append(f"nonpositive weights {bad.tolist()}")
-        for i in range(self.num_terms):
-            for j in range(i + 1, self.num_terms):
-                d = min(
-                    float(np.linalg.norm(self.freqs[i] - self.freqs[j])),
-                    float(np.linalg.norm(self.freqs[i] + self.freqs[j])),
+        for i in range(self.num_terms - 1):
+            rest = self.freqs[i + 1 :]
+            d = np.minimum(
+                np.linalg.norm(rest - self.freqs[i], axis=1),
+                np.linalg.norm(rest + self.freqs[i], axis=1),
+            )
+            for j in np.flatnonzero(d < freq_tol):
+                issues.append(
+                    f"frequencies {i} and {i + 1 + j} coincide up to sign "
+                    f"(distance {d[j]:.3e})"
                 )
-                if d < freq_tol:
-                    issues.append(
-                        f"frequencies {i} and {j} coincide up to sign (distance {d:.3e})"
-                    )
         return ValidationReport(ok=not issues, issues=tuple(issues))
 
     # ------------------------------------------------------------------

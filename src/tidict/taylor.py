@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .errors import DomainError, TruncationError
 from .kernels import DiscreteEmbedding, as_param_array
@@ -57,7 +56,8 @@ def _axis_derivatives(
     With ``x = (t - center) / (sigma sqrt(2))``, the n-th derivative with
     respect to the center is
     ``(pi sigma^2)^(-1/4) (sigma sqrt(2))^(-n) H_n(x) exp(-x^2)`` where
-    ``H_n`` is the physicists' Hermite polynomial; rows are orders
+    ``H_n`` is the physicists' Hermite polynomial, built with the
+    recurrence ``H_{n+1} = 2x H_n - 2n H_{n-1}``; rows are orders
     ``0 .. max_order`` over the axis lattice.
     """
     sigma = embedding.kernel.sigma
@@ -65,8 +65,10 @@ def _axis_derivatives(
     x = (t - center) / (sigma * math.sqrt(2.0))
     base = (math.pi * sigma**2) ** -0.25 * np.exp(-((t - center) ** 2) / (2.0 * sigma**2))
     rows = np.empty((max_order + 1, t.shape[0]))
+    h_prev, h = np.zeros_like(x), np.ones_like(x)
     for n in range(max_order + 1):
-        rows[n] = (sigma * math.sqrt(2.0)) ** (-n) * eval_hermite(n, x) * base
+        rows[n] = (sigma * math.sqrt(2.0)) ** (-n) * h * base
+        h_prev, h = h, 2.0 * x * h - 2.0 * n * h_prev
     return rows
 
 

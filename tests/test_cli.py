@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tidict
 from tidict.cli import main
 
 
@@ -229,3 +235,31 @@ class TestErrorPaths:
 
     def test_no_subcommand_exits_1(self):
         assert main([]) == 1
+
+
+class TestRuntimeDependencies:
+    def test_subcommands_do_not_import_scipy(self, tmp_path):
+        # scipy is a test-only dependency: the CLI must run on numpy alone
+        payload = config_2d(evaluation={"resolution": 5}, taylor={"order": 2})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from tidict.cli import main
+            for sub in ("decompose", "compare-taylor", "select-atom"):
+                assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0, sub
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        src = str(Path(tidict.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -69,14 +69,14 @@ class TestCoefficients:
         assert ld6.coefficients(pts).shape == (17, 6)
 
     def test_dual_coords_invert_gram(self, ld6):
-        coords = ld6.dual_atom_coords()
+        coords = ld6.gram.inverse
         assert np.max(np.abs(coords @ ld6.gram.matrix - np.eye(6))) < 1e-10
 
     def test_dual_atom_gram_is_inverse(self, ld6, emb1):
         # materialize the dual atoms in the embedding: their pairwise inner
         # products must reproduce the inverse Gram matrix
         node_atoms = emb1.atoms(ld6.nodes)
-        duals = ld6.dual_atom_coords() @ node_atoms
+        duals = ld6.gram.inverse @ node_atoms
         assert np.max(np.abs(duals @ duals.T - ld6.gram.inverse)) < 1e-10
 
 

@@ -169,6 +169,23 @@ class TestValidate:
         assert not report.ok
         assert any("coincide" in issue for issue in report.issues)
 
+    def test_every_coincident_pair_reported_in_order(self):
+        freqs = np.array([[0.7, 1.1], [0.3, 0.2], [-0.3, -0.2], [0.3, 0.2 + 1e-9]])
+        rc = RaisedCosineKernel(
+            dim=2, lambda0=0.0, weights=np.full(4, 0.25), freqs=freqs, rank=8
+        )
+        # pairwise loop over the canonicalized, sorted terms as the reference
+        f = rc.freqs
+        want = []
+        for i in range(4):
+            for j in range(i + 1, 4):
+                d = min(np.linalg.norm(f[i] - f[j]), np.linalg.norm(f[i] + f[j]))
+                if d < 1e-8:
+                    want.append(f"frequencies {i} and {j} coincide up to sign")
+        got = [issue.split(" (")[0] for issue in rc.validate().issues]
+        assert len(want) == 3
+        assert got == want
+
 
 class TestSerialization:
     def test_round_trip_exact(self):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import eval_hermite
 
 from tidict import (
     DiscreteEmbedding,
@@ -8,6 +11,7 @@ from tidict import (
     TruncationError,
     multi_indices,
 )
+from tidict.taylor import _axis_derivatives
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,18 @@ class TestBuild:
                 - emb2.atom(np.array([0.3, -0.2]) - step)
             ) / (2 * h)
             assert np.linalg.norm(row - fd) / np.linalg.norm(fd) < 1e-6
+
+    @pytest.mark.parametrize("center", [0.0, -2.5])
+    def test_axis_derivatives_match_scipy_hermite(self, emb1, center):
+        # scipy's Hermite evaluation is the independent reference for the
+        # recurrence, up to the order 19 that a 20-node 1-D grid needs
+        rows = _axis_derivatives(emb1, 0, center, 20)
+        sigma = emb1.kernel.sigma
+        x = (emb1.axes[0] - center) / (sigma * math.sqrt(2.0))
+        base = (math.pi * sigma**2) ** -0.25 * np.exp(-(x**2))
+        for n in range(21):
+            ref = (sigma * math.sqrt(2.0)) ** (-n) * eval_hermite(n, x) * base
+            assert np.max(np.abs(rows[n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
 
     def test_truncation_guard(self, emb1):
         with pytest.raises(TruncationError):
