@@ -156,7 +156,7 @@ def _oracle_correlation(cfg: ExperimentConfig, signal: np.ndarray):
 
     Uses the separable structure of the sampled atoms so that all
     correlations come out of one matrix product per axis; supports one and
-    two parameter axes.
+    two parameter axes (:func:`cmd_select_atom` rejects more).
     """
     emb = cfg.embedding
     box = cfg.select_atom.search
@@ -174,7 +174,7 @@ def _oracle_correlation(cfg: ExperimentConfig, signal: np.ndarray):
         best = int(np.argmax(corr))
         theta = np.array([axes[0][best]])
         value = float(corr[best])
-    elif emb.dim == 2:
+    else:
         r = signal.reshape(emb.samples_per_axis)
         num = profiles[0] @ r @ profiles[1].T
         norms0 = np.linalg.norm(profiles[0], axis=1)
@@ -184,14 +184,16 @@ def _oracle_correlation(cfg: ExperimentConfig, signal: np.ndarray):
         i, j = np.unravel_index(flat, corr.shape)
         theta = np.array([axes[0][i], axes[1][j]])
         value = float(corr[i, j])
-    else:
-        raise ConfigError("select-atom oracle supports at most 2 parameter axes")
     cell = np.array([(box.upper[a] - box.lower[a]) / (n - 1) for a in range(emb.dim)])
     return theta, value, float(np.linalg.norm(cell))
 
 
 def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
     """Recover an atom parameter from (optionally noisy) dual projections."""
+    if cfg.kernel.dim > 2:
+        # checked before any atom is sampled: the node atoms alone would
+        # fill gigabytes on a 3-D lattice
+        raise ConfigError("select-atom oracle supports at most 2 parameter axes")
     ld = _build_dictionary(cfg)
     emb = cfg.embedding
     sel = cfg.select_atom

@@ -7,9 +7,11 @@ atoms depends only on the parameter displacement, so a single even kernel
 ``kappa`` with ``kappa(0) = 1`` describes the whole continuum of atoms.
 
 All core computations downstream (Gram matrices, low-rank constructions,
-error formulas) consume kernel evaluations only and never touch explicit
-atom vectors.  :class:`DiscreteEmbedding` is the one place where atoms are
-materialized as sample vectors; it exists for baselines, oracles and demos.
+error formulas, the Taylor baseline) consume kernel evaluations only and
+never touch explicit atom vectors.  :class:`DiscreteEmbedding` is the one
+place where atoms are materialized as sample vectors; it exists for the
+window truncation guard, atom selection from a sampled signal, oracles and
+demos.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, TruncationError
+
+# lattice terms summed at once by DiscreteEmbedding.truncation_deficits
+_DEFICIT_CHUNK = 1 << 20
 
 __all__ = [
     "ParamBox",
@@ -258,40 +263,60 @@ class DiscreteEmbedding:
             raise DomainError(f"{name} must be a single parameter vector")
         return th[0]
 
-    def truncation_deficit(self, theta) -> float:
-        """Fraction of the atom's norm lost to the finite window.
+    def truncation_deficits(self, thetas) -> np.ndarray:
+        """Fraction of each atom's norm lost to the finite window.
 
         Computed per axis as the ratio between the squared-profile sum over
         the window lattice and over the same lattice extended far enough
-        that all remaining terms are negligible.
+        that all remaining terms are negligible: every lattice point within
+        9 sigma of the atom center.  The ratio depends on one coordinate
+        only, so it is computed once per distinct coordinate; a coordinate
+        whose 9-sigma band lies inside the window loses exactly nothing,
+        and the others are summed in chunks of at most ``_DEFICIT_CHUNK``
+        lattice terms.
         """
-        t = self._single(theta, "theta")
+        pts, _ = as_param_array(thetas, self.dim)
         sig = self.kernel.sigma
-        ratio = 1.0
+        ratio = np.ones(pts.shape[0])
         for a in range(self.dim):
-            h = self.steps[a]
-            n = self.samples_per_axis[a]
-            # index range of the extended lattice: covers the window and
-            # everything within 9 sigma of the atom center
-            k0 = min(0, math.floor((t[a] - 9.0 * sig - self.lower[a]) / h))
-            k1 = max(n - 1, math.ceil((t[a] + 9.0 * sig - self.lower[a]) / h))
-            k = np.arange(k0, k1 + 1)
-            x = self.lower[a] + k * h - t[a]
-            full = np.exp(-(x * x) / (sig * sig))  # squared profile
-            s_full = float(np.sum(full))
-            s_in = float(np.sum(full[(k >= 0) & (k <= n - 1)]))
-            ratio *= s_in / s_full
-        return 1.0 - math.sqrt(ratio)
+            h, n, lo = self.steps[a], self.samples_per_axis[a], self.lower[a]
+            t, inverse = np.unique(pts[:, a], return_inverse=True)
+            k0 = np.floor((t - 9.0 * sig - lo) / h)
+            k1 = np.ceil((t + 9.0 * sig - lo) / h)
+            cut = np.flatnonzero((k0 < 0) | (k1 > n - 1))
+            width = int(np.max(k1[cut] - k0[cut])) + 1 if cut.size else 0
+            rows = max(1, _DEFICIT_CHUNK // max(width, 1))
+            axis_ratio = np.ones(t.shape[0])
+            for start in range(0, cut.size, rows):
+                idx = cut[start : start + rows]
+                k = k0[idx, None] + np.arange(width)
+                x = lo + k * h - t[idx, None]
+                full = np.exp(-(x * x) / (sig * sig))  # squared profile
+                inside = (k >= 0) & (k <= n - 1)
+                axis_ratio[idx] = np.sum(full * inside, axis=1) / np.sum(full, axis=1)
+            ratio *= axis_ratio[inverse]
+        return 1.0 - np.sqrt(ratio)
+
+    def truncation_deficit(self, theta) -> float:
+        """:meth:`truncation_deficits` of a single parameter vector."""
+        return float(self.truncation_deficits(self._single(theta, "theta")[None, :])[0])
+
+    def check_window(self, thetas) -> None:
+        """Raise :class:`TruncationError` for the first atom the window cuts off."""
+        pts, _ = as_param_array(thetas, self.dim)
+        deficits = self.truncation_deficits(pts)
+        over = np.flatnonzero(deficits > self.truncation_tol)
+        if over.size:
+            i = over[0]
+            raise TruncationError(
+                f"atom at theta={pts[i].tolist()} loses {deficits[i]:.3e} of its norm "
+                f"outside the window (tolerance {self.truncation_tol:g})"
+            )
 
     def atom(self, theta) -> np.ndarray:
         """Unit-norm sample vector of the atom at ``theta``, flattened row-major."""
         t = self._single(theta, "theta")
-        deficit = self.truncation_deficit(t)
-        if deficit > self.truncation_tol:
-            raise TruncationError(
-                f"atom at theta={t.tolist()} loses {deficit:.3e} of its norm outside "
-                f"the window (tolerance {self.truncation_tol:g})"
-            )
+        self.check_window(t[None, :])
         vec = self._axis_profile(0, t[0])
         for a in range(1, self.dim):
             vec = np.multiply.outer(vec, self._axis_profile(a, t[a]))

@@ -246,4 +246,12 @@ class RaisedCosineKernel:
 
     @classmethod
     def from_json(cls, path, dim: int | None = None) -> "RaisedCosineKernel":
-        return cls.from_dict(json.loads(Path(path).read_text()), dim=dim)
+        """Load a kernel written by :meth:`to_json`; a file that cannot be
+        read or is not JSON raises :class:`DomainError`."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise DomainError(f"cannot read kernel file {path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"kernel file {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(data, dim=dim)

@@ -7,10 +7,19 @@ derivatives of order up to ``p`` evaluated at the center,
     a(theta)  ~  sum_{|alpha| <= p} (theta - theta0)^alpha / alpha! *
                  (d^alpha a)(theta0),
 
-giving rank ``L = binomial(p + d, d)``.  Derivatives of Gaussian atoms
-have closed forms through Hermite polynomials, so the basis is sampled
-exactly on the embedding lattice (and deliberately *not* renormalized:
-the expansion approximates the atom map itself).
+giving rank ``L = binomial(p + d, d)``.  The expansion is deliberately *not*
+renormalized: it approximates the atom map itself.  Its error needs no
+sampled atoms.  With ``m`` the vector of Taylor monomials,
+
+    ||a(theta) - a~(theta)||^2  =  1 - 2 m^T d + m^T H m,
+
+where ``d_alpha = <a(theta), d^alpha a(theta0)> = d^alpha_{theta0}
+kappa(theta - theta0)`` and ``H_{alpha beta} = (-1)^|beta|
+kappa^(alpha + beta)(0)`` is the Gram matrix of the derivative atoms.  For
+the Gaussian kernel both factor over the axes through the physicists'
+Hermite polynomials: with ``delta = theta - theta0``,
+``d^n_{theta0} kappa_1(delta) = (2 sigma)^-n H_n(delta / 2 sigma)
+kappa_1(delta)``, so evaluating the error costs O(L^2) per point.
 """
 
 from __future__ import annotations
@@ -48,50 +57,42 @@ def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _axis_derivatives(
-    embedding: DiscreteEmbedding, axis: int, center: float, max_order: int
-) -> np.ndarray:
-    """Samples of d^n/d theta^n of the normalized 1-D Gaussian factor.
+def _hermite(x, max_order: int) -> np.ndarray:
+    """Physicists' Hermite polynomials ``H_0 .. H_max_order`` at ``x``.
 
-    With ``x = (t - center) / (sigma sqrt(2))``, the n-th derivative with
-    respect to the center is
-    ``(pi sigma^2)^(-1/4) (sigma sqrt(2))^(-n) H_n(x) exp(-x^2)`` where
-    ``H_n`` is the physicists' Hermite polynomial, built with the
-    recurrence ``H_{n+1} = 2x H_n - 2n H_{n-1}``; rows are orders
-    ``0 .. max_order`` over the axis lattice.
+    Built with the recurrence ``H_{n+1} = 2x H_n - 2n H_{n-1}``; the result
+    has shape ``x.shape + (max_order + 1,)``.
     """
-    sigma = embedding.kernel.sigma
-    t = embedding.axes[axis]
-    x = (t - center) / (sigma * math.sqrt(2.0))
-    base = (math.pi * sigma**2) ** -0.25 * np.exp(-((t - center) ** 2) / (2.0 * sigma**2))
-    rows = np.empty((max_order + 1, t.shape[0]))
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (max_order + 1,))
     h_prev, h = np.zeros_like(x), np.ones_like(x)
     for n in range(max_order + 1):
-        rows[n] = (sigma * math.sqrt(2.0)) ** (-n) * h * base
+        out[..., n] = h
         h_prev, h = h, 2.0 * x * h - 2.0 * n * h_prev
-    return rows
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class TaylorApproximation:
     """Fixed-center polynomial surrogate of the atom map.
 
-    Built by :meth:`build`; ``basis`` holds the sampled derivative atoms
-    (rows, one per multi-index, already scaled by the lattice cell volume)
-    and :meth:`atom` combines them with the Taylor monomials.
+    Built by :meth:`build`; ``gram`` holds the Gram matrix ``H`` of the
+    derivative atoms, one row and column per multi-index in ``alphas``.
+    ``embedding`` only supplies the window whose truncation guard the
+    error evaluation keeps.
     """
 
     embedding: DiscreteEmbedding
     center: np.ndarray
     order: int
     alphas: tuple
-    basis: np.ndarray
+    gram: np.ndarray
 
     @classmethod
     def build(
         cls, embedding: DiscreteEmbedding, center, order: int
     ) -> "TaylorApproximation":
-        """Sample all derivative atoms up to ``order`` at ``center``.
+        """Derivative Gram matrix of all multi-indices up to ``order`` at ``center``.
 
         Raises :class:`TruncationError` when the atom at the center loses
         more than the embedding's tolerated norm fraction to the window.
@@ -109,24 +110,24 @@ class TaylorApproximation:
                 f"expansion center {center_vec.tolist()} loses {deficit:.3e} of its "
                 f"norm outside the window (tolerance {embedding.truncation_tol:g})"
             )
-        per_axis = [
-            _axis_derivatives(embedding, a, center_vec[a], order)
-            for a in range(embedding.dim)
-        ]
         alphas = multi_indices(embedding.dim, order)
-        scale = math.sqrt(embedding.cell_volume)
-        basis = np.empty((len(alphas), embedding.size))
-        for i, alpha in enumerate(alphas):
-            vec = per_axis[0][alpha[0]]
-            for a in range(1, embedding.dim):
-                vec = np.multiply.outer(vec, per_axis[a][alpha[a]])
-            basis[i] = vec.ravel() * scale
+        # per axis, <d^j a, d^k a> = (-1)^k kappa_1^(j+k)(0)
+        #                          = (-1)^j (2 sigma)^-(j+k) H_{j+k}(0)
+        j = np.arange(order + 1)
+        s = j[:, None] + j[None, :]
+        axis_gram = (
+            (-1.0) ** j[:, None]
+            * (2.0 * embedding.kernel.sigma) ** -s.astype(float)
+            * _hermite(0.0, 2 * order)[s]
+        )
+        idx = np.array(alphas)
+        gram = np.prod(axis_gram[idx[:, None, :], idx[None, :, :]], axis=-1)
         return cls(
             embedding=embedding,
             center=center_vec,
             order=order,
             alphas=tuple(alphas),
-            basis=basis,
+            gram=gram,
         )
 
     @property
@@ -137,40 +138,54 @@ class TaylorApproximation:
     def dim(self) -> int:
         return self.embedding.dim
 
+    def _products(self, tables: np.ndarray) -> np.ndarray:
+        """``prod_a tables[:, a, alpha_a]`` for every multi-index, shape ``(n, L)``.
+
+        ``tables`` has shape ``(n, dim, order + 1)``: per point and axis,
+        one entry per derivative order.  The result is C-contiguous, so each
+        row is reduced the same way whatever the batch size.
+        """
+        factors = tables[:, np.arange(self.dim), np.array(self.alphas)]
+        return np.ascontiguousarray(np.prod(factors, axis=-1))
+
     def monomials(self, theta) -> np.ndarray:
         """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index."""
         pts, single = as_param_array(theta, self.dim)
-        shift = pts - self.center
-        out = np.empty((pts.shape[0], self.rank))
-        for i, alpha in enumerate(self.alphas):
-            col = np.ones(pts.shape[0])
-            for a, n in enumerate(alpha):
-                if n:
-                    col = col * shift[:, a] ** n / math.factorial(n)
-            out[:, i] = col
+        n = np.arange(self.order + 1)
+        fact = np.array([math.factorial(k) for k in n], dtype=float)
+        out = self._products((pts - self.center)[:, :, None] ** n / fact)
         return out[0] if single else out
 
-    def atom(self, theta) -> np.ndarray:
-        """Surrogate atom sample vector at ``theta`` (not renormalized)."""
-        pts, single = as_param_array(theta, self.dim)
-        vecs = self.monomials(pts) @ self.basis
-        return vecs[0] if single else vecs
-
     def error(self, theta) -> float:
-        """Euclidean distance between the exact sampled atom and the surrogate."""
-        return float(
-            np.linalg.norm(self.embedding.atom(theta) - np.asarray(self.atom(theta)))
-        )
+        """Distance between the atom at ``theta`` and its Taylor surrogate."""
+        pts, single = as_param_array(theta, self.dim)
+        if not single and pts.shape[0] != 1:
+            raise DomainError("theta must be a single parameter vector")
+        return float(self.errors(pts)[0])
 
-    def errors(self, thetas: np.ndarray, chunk: int = 256) -> np.ndarray:
-        """Vector of :meth:`error` values over a stack, computed in chunks."""
+    def errors(self, thetas: np.ndarray, chunk: int = 4096) -> np.ndarray:
+        """Vector of :meth:`error` values over a stack, computed in chunks.
+
+        Raises :class:`TruncationError` for the first point whose atom the
+        embedding window cuts off.
+        """
         pts, _ = as_param_array(thetas, self.dim)
+        self.embedding.check_window(pts)
+        two_sigma = 2.0 * self.embedding.kernel.sigma
+        scale = two_sigma ** -np.arange(self.order + 1, dtype=float)
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], chunk):
             block = pts[start : start + chunk]
-            exact = self.embedding.atoms(block)
-            approx = self.monomials(block) @ self.basis
-            out[start : start + block.shape[0]] = np.linalg.norm(
-                exact - approx, axis=1
+            x = (block - self.center) / two_sigma
+            # d^n_{theta0} kappa_1(delta) per axis and order, then per index
+            deriv = self._products(
+                scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
             )
+            mono = self.monomials(block)
+            sq = (
+                1.0
+                - 2.0 * np.einsum("ij,ij->i", mono, deriv)
+                + np.einsum("ij,jk,ik->i", mono, self.gram, mono)
+            )
+            out[start : start + block.shape[0]] = np.sqrt(np.maximum(sq, 0.0))
         return out

@@ -1,12 +1,16 @@
 """Independent reference computations used to cross-check the library.
 
-Everything here is deliberately naive: exhaustive frequency searches and
-explicit embedded-space linear algebra, sharing no code with the solvers
-under test.
+Everything here is deliberately naive: exhaustive frequency searches,
+explicit embedded-space linear algebra and sampled derivative atoms,
+sharing no code with the solvers under test.
 """
+
+import math
 
 import numpy as np
 import scipy.optimize
+
+from tidict import multi_indices
 
 
 def brute_force_cosine_fit(first_row, spacing, grid_points=200):
@@ -106,3 +110,87 @@ def fine_grid_argmax(embedding, box, signal, points_per_axis):
         raise ValueError("the fine-grid oracle supports at most two axes")
     cell = (box.upper - box.lower) / (points_per_axis - 1)
     return theta, value, float(np.linalg.norm(cell))
+
+
+def truncation_deficit_loop(embedding, theta):
+    """Window truncation deficit of one atom, one axis and one lattice range at a time.
+
+    Sums the squared profile over the window lattice and over that lattice
+    extended to cover everything within 9 sigma of the atom center.
+    """
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    sig = embedding.kernel.sigma
+    ratio = 1.0
+    for a in range(embedding.dim):
+        h = embedding.steps[a]
+        n = embedding.samples_per_axis[a]
+        lo = embedding.lower[a]
+        k0 = min(0, math.floor((t[a] - 9.0 * sig - lo) / h))
+        k1 = max(n - 1, math.ceil((t[a] + 9.0 * sig - lo) / h))
+        k = np.arange(k0, k1 + 1)
+        x = lo + k * h - t[a]
+        full = np.exp(-(x * x) / (sig * sig))
+        ratio *= float(np.sum(full[(k >= 0) & (k <= n - 1)])) / float(np.sum(full))
+    return 1.0 - math.sqrt(ratio)
+
+
+def sampled_axis_derivatives(embedding, axis, center, max_order):
+    """Samples of d^n/d theta^n of the normalized 1-D Gaussian factor.
+
+    With ``x = (t - center) / (sigma sqrt(2))`` the n-th derivative with
+    respect to the center is
+    ``(pi sigma^2)^(-1/4) (sigma sqrt(2))^(-n) H_n(x) exp(-x^2)``; rows are
+    orders ``0 .. max_order`` over the axis lattice.
+    """
+    sigma = embedding.kernel.sigma
+    t = embedding.axes[axis]
+    x = (t - center) / (sigma * math.sqrt(2.0))
+    base = (math.pi * sigma**2) ** -0.25 * np.exp(-((t - center) ** 2) / (2.0 * sigma**2))
+    rows = np.empty((max_order + 1, t.shape[0]))
+    h_prev, h = np.zeros_like(x), np.ones_like(x)
+    for n in range(max_order + 1):
+        rows[n] = (sigma * math.sqrt(2.0)) ** (-n) * h * base
+        h_prev, h = h, 2.0 * x * h - 2.0 * n * h_prev
+    return rows
+
+
+def sampled_taylor_basis(embedding, center, order):
+    """Derivative atoms up to ``order`` at ``center``, sampled on the embedding lattice.
+
+    One row per multi-index of :func:`tidict.multi_indices`, scaled by the
+    square root of the cell volume and not renormalized.
+    """
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    per_axis = [
+        sampled_axis_derivatives(embedding, a, center[a], order)
+        for a in range(embedding.dim)
+    ]
+    alphas = multi_indices(embedding.dim, order)
+    basis = np.empty((len(alphas), embedding.size))
+    for i, alpha in enumerate(alphas):
+        vec = per_axis[0][alpha[0]]
+        for a in range(1, embedding.dim):
+            vec = np.multiply.outer(vec, per_axis[a][alpha[a]])
+        basis[i] = vec.ravel() * math.sqrt(embedding.cell_volume)
+    return basis
+
+
+def sampled_taylor_errors(embedding, center, order, thetas):
+    """Distance between each sampled atom and its sampled Taylor surrogate."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, embedding.dim)
+    basis = sampled_taylor_basis(embedding, center, order)
+    alphas = multi_indices(embedding.dim, order)
+    out = np.empty(thetas.shape[0])
+    for i, theta in enumerate(thetas):
+        mono = np.array(
+            [
+                math.prod(
+                    (theta[a] - center[a]) ** n / math.factorial(n)
+                    for a, n in enumerate(alpha)
+                )
+                for alpha in alphas
+            ]
+        )
+        out[i] = np.linalg.norm(embedding.atom(theta) - mono @ basis)
+    return out

@@ -142,6 +142,22 @@ class TestSelectAtom:
         assert result["distance"] <= 3.0 * result["oracle_cell_diagonal"]
 
 
+    def test_3d_config_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled an atom")
+
+        monkeypatch.setattr(tidict.DiscreteEmbedding, "atom", fail)
+        monkeypatch.setattr(tidict.DiscreteEmbedding, "atoms", fail)
+        payload = {
+            "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 3},
+            "grid": {"origin": 0.0, "spacing": 1.0, "counts": [2, 2, 2]},
+            "embedding": {"samples_per_axis": 16},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["select-atom", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "at most 2 parameter axes" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_passes_on_good_config(self, tmp_path):
         cfg = write_config(tmp_path, config_1d())
@@ -207,6 +223,23 @@ class TestValidate:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "structure" in failed
         assert "kernel_match" in failed
+
+
+    @pytest.mark.parametrize(
+        "content, message", [(None, "cannot read"), ("{oops", "not valid JSON")]
+    )
+    def test_unreadable_kernel_json_exits_1(self, tmp_path, capsys, content, message):
+        cfg = write_config(tmp_path, config_1d())
+        kernel = tmp_path / "kernel.json"
+        if content is not None:
+            kernel.write_text(content)
+        code = main(
+            ["validate", "--config", cfg, "--out", str(tmp_path), "--kernel-json", str(kernel)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestErrorPaths:

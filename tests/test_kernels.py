@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import tidict.kernels
+from oracles import truncation_deficit_loop
 from tidict import (
     DiscreteEmbedding,
     DomainError,
@@ -142,6 +144,25 @@ class TestDiscreteEmbedding:
         emb = DiscreteEmbedding(gauss1, [-8.0], [8.0], 256)
         assert emb.truncation_deficit(0.0) < 1e-12
         assert emb.truncation_deficit(7.9) > 1e-3
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 1000])
+    def test_truncation_deficits_match_loop(self, gauss1, gauss2, rng, monkeypatch, chunk):
+        # a small chunk splits the lattice sums over several blocks
+        monkeypatch.setattr(tidict.kernels, "_DEFICIT_CHUNK", chunk)
+        # windows wider than 18 sigma, so that central atoms lose exactly nothing
+        emb1 = DiscreteEmbedding(gauss1, [-12.0], [12.0], 256)
+        thetas1 = np.concatenate([rng.uniform(-15.0, 15.0, 40), [0.0, 11.9, 20.0]])
+        emb2 = DiscreteEmbedding(gauss2, [-10.0, -11.0], [10.0, 12.0], (128, 150))
+        thetas2 = np.vstack(
+            [rng.uniform([-13.0, -14.0], [13.0, 15.0], size=(40, 2)), [[0.0, 0.5], [9.9, 0.0]]]
+        )
+        for emb, thetas in ((emb1, thetas1), (emb2, thetas2)):
+            batch = emb.truncation_deficits(thetas)
+            ref = np.array([truncation_deficit_loop(emb, t) for t in thetas])
+            single = np.array([emb.truncation_deficit(t) for t in thetas])
+            assert np.any(ref > emb.truncation_tol) and np.any(ref == 0.0)
+            assert np.max(np.abs(batch - ref)) <= 1e-15
+            assert np.array_equal(batch, single)
 
     def test_atoms_batch_matches_single(self, gauss2):
         emb = DiscreteEmbedding(gauss2, [-5.0, -5.0], [7.0, 7.0], 64)

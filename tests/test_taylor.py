@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
+from oracles import (
+    sampled_axis_derivatives,
+    sampled_taylor_basis,
+    sampled_taylor_errors,
+)
 from tidict import (
     DiscreteEmbedding,
     DomainError,
@@ -11,7 +16,7 @@ from tidict import (
     TruncationError,
     multi_indices,
 )
-from tidict.taylor import _axis_derivatives
+from tidict.taylor import _hermite
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +56,34 @@ class TestBuild:
     def test_rank_and_shapes(self, emb2):
         taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
         assert taylor.rank == 6
-        assert taylor.basis.shape == (6, emb2.size)
+        assert taylor.gram.shape == (6, 6)
+        assert sampled_taylor_basis(emb2, [0.0, 0.0], 2).shape == (6, emb2.size)
+
+    def test_gram_matches_sampled_basis(self, emb2):
+        taylor = TaylorApproximation.build(emb2, [0.3, -0.2], 3)
+        basis = sampled_taylor_basis(emb2, [0.3, -0.2], 3)
+        assert np.max(np.abs(taylor.gram - basis @ basis.T)) < 1e-10
 
     def test_zero_order_row_is_atom(self, emb1):
-        taylor = TaylorApproximation.build(emb1, 0.5, 0)
-        assert taylor.rank == 1
+        basis = sampled_taylor_basis(emb1, 0.5, 0)
+        assert basis.shape[0] == TaylorApproximation.build(emb1, 0.5, 0).rank == 1
         # the order-zero derivative is the atom itself, up to the tiny
         # discrete normalization defect
         exact = emb1.atom(0.5)
-        assert np.linalg.norm(taylor.basis[0] - exact) < 1e-8
-        assert np.linalg.norm(taylor.basis[0]) == pytest.approx(1.0, abs=1e-8)
+        assert np.linalg.norm(basis[0] - exact) < 1e-8
+        assert np.linalg.norm(basis[0]) == pytest.approx(1.0, abs=1e-8)
 
     def test_first_derivative_matches_finite_difference(self, emb1):
-        taylor = TaylorApproximation.build(emb1, 0.0, 1)
+        basis = sampled_taylor_basis(emb1, 0.0, 1)
         h = 1e-4
         fd = (emb1.atom(h) - emb1.atom(-h)) / (2 * h)
-        row = taylor.basis[1]
+        row = basis[1]
         assert np.linalg.norm(row - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_first_derivative_2d_axes(self, emb2):
-        taylor = TaylorApproximation.build(emb2, [0.3, -0.2], 1)
+        basis = sampled_taylor_basis(emb2, [0.3, -0.2], 1)
         h = 1e-4
-        for axis, row in ((0, taylor.basis[1]), (1, taylor.basis[2])):
+        for axis, row in ((0, basis[1]), (1, basis[2])):
             step = np.zeros(2)
             step[axis] = h
             fd = (
@@ -85,13 +96,24 @@ class TestBuild:
     def test_axis_derivatives_match_scipy_hermite(self, emb1, center):
         # scipy's Hermite evaluation is the independent reference for the
         # recurrence, up to the order 19 that a 20-node 1-D grid needs
-        rows = _axis_derivatives(emb1, 0, center, 20)
+        rows = sampled_axis_derivatives(emb1, 0, center, 20)
         sigma = emb1.kernel.sigma
         x = (emb1.axes[0] - center) / (sigma * math.sqrt(2.0))
         base = (math.pi * sigma**2) ** -0.25 * np.exp(-(x**2))
         for n in range(21):
             ref = (sigma * math.sqrt(2.0)) ** (-n) * eval_hermite(n, x) * base
             assert np.max(np.abs(rows[n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+
+    def test_hermite_matches_scipy(self):
+        # the derivative Gram matrix of a degree-19 expansion needs H_n(0)
+        # up to n = 38
+        x = np.linspace(-6.0, 6.0, 97)
+        values = _hermite(x, 38)
+        assert values.shape == (97, 39)
+        for n in range(39):
+            ref = eval_hermite(n, x)
+            assert np.max(np.abs(values[:, n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            assert _hermite(0.0, 38)[n] == pytest.approx(eval_hermite(n, 0.0), rel=1e-14)
 
     def test_truncation_guard(self, emb1):
         with pytest.raises(TruncationError):
@@ -134,3 +156,40 @@ class TestApproximation:
         taylor = TaylorApproximation.build(emb1, 0.0, 2)
         errs = taylor.errors(np.linspace(0.0, 2.0, 9))
         assert np.all(np.diff(errs) > 0.0)
+
+    def test_exactly_zero_at_center(self, emb1):
+        taylor = TaylorApproximation.build(emb1, 0.7, 19)
+        assert taylor.error(0.7) == 0.0
+
+    def test_matches_sampled_errors_2d(self, emb2, rng):
+        center = np.array([0.5, 1.0])
+        taylor = TaylorApproximation.build(emb2, center, 2)
+        thetas = np.vstack([center, rng.uniform([0.0, 0.0], [1.0, 2.0], size=(60, 2))])
+        ref = sampled_taylor_errors(emb2, center, 2, thetas)
+        assert np.max(np.abs(taylor.errors(thetas) - ref)) < 1e-9
+
+    def test_matches_sampled_errors_1d_order_19(self, gauss1):
+        # the closed form cancels 1 - 2 m.d + m.H m; near the center that
+        # leaves an absolute floor of about sqrt(eps) on the error
+        emb = DiscreteEmbedding(gauss1, [-6.5], [16.0], 256)
+        taylor = TaylorApproximation.build(emb, 4.75, 19)
+        thetas = np.linspace(0.0, 9.5, 77)
+        ref = sampled_taylor_errors(emb, 4.75, 19, thetas)
+        assert np.max(ref) > 1e3  # far from the center the expansion diverges
+        assert np.max(np.abs(taylor.errors(thetas) - ref)) < 1e-6
+
+    def test_errors_raise_for_truncated_point(self, emb1):
+        taylor = TaylorApproximation.build(emb1, 0.0, 2)
+        with pytest.raises(TruncationError, match=r"theta=\[7\.9\]"):
+            taylor.errors([0.0, 1.0, 7.9, 8.5])
+        with pytest.raises(TruncationError):
+            taylor.error(7.9)
+
+    def test_errors_sample_no_atoms(self, emb2, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled an atom")
+
+        monkeypatch.setattr(DiscreteEmbedding, "atom", fail)
+        monkeypatch.setattr(DiscreteEmbedding, "atoms", fail)
+        taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
+        assert taylor.errors(np.array([[0.1, 0.2], [0.5, -0.5]])).shape == (2,)
