@@ -46,10 +46,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def _theta_header(dim: int) -> list[str]:
@@ -236,82 +234,39 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
     ld = _build_dictionary(cfg, rc, check=False)
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
-    checks = []
-
     structure = ld.rc.validate()
-    entry = {
-        "name": "structure",
-        "passed": structure.ok,
-        "value": float(len(structure.issues)),
-        "threshold": 0.0,
-    }
-    if structure.issues:
-        entry["issues"] = list(structure.issues)
-    checks.append(entry)
-
-    checks.append(
-        {
-            "name": "decomposition_residual",
-            "passed": ld.report.residual <= tol.residual,
-            "value": ld.report.residual,
-            "threshold": tol.residual,
-        }
-    )
-    checks.append(
-        {
-            "name": "psd_margin",
-            "passed": ld.report.psd_margin >= -tol.psd_margin,
-            "value": ld.report.psd_margin,
-            "threshold": tol.psd_margin,
-        }
-    )
-
+    report = ld.report
     node_err = float(np.max(ld.approx_error(ld.nodes)))
-    checks.append(
-        {
-            "name": "node_interpolation",
-            "passed": node_err <= tol.node_interpolation,
-            "value": node_err,
-            "threshold": tol.node_interpolation,
-        }
-    )
 
     pairs_a = cfg.evaluation.sample(rng, cfg.num_pairs)
     pairs_b = cfg.evaluation.sample(rng, cfg.num_pairs)
     exact = ld.rc.eval(pairs_a - pairs_b)
     match = float(np.max(np.abs(ld.approx_inner(pairs_a, pairs_b) - exact)))
-    checks.append(
-        {
-            "name": "kernel_match",
-            "passed": match <= tol.kernel_match,
-            "value": match,
-            "threshold": tol.kernel_match,
-        }
-    )
-
     norm_dev = float(np.max(np.abs(ld.approx_inner(pairs_a, pairs_a) - 1.0)))
-    checks.append(
-        {
-            "name": "unit_norm",
-            "passed": norm_dev <= tol.unit_norm,
-            "value": norm_dev,
-            "threshold": tol.unit_norm,
-        }
-    )
 
     thetas = cfg.evaluation.sample(rng, 2 * ld.rank)
     coeff = ld.coefficients(thetas)
     inner = coeff @ ld.gram.solve(coeff.T)
     svals = np.linalg.svd(inner, compute_uv=False)
     tail = float(svals[ld.rank]) if svals.shape[0] > ld.rank else 0.0
-    checks.append(
-        {
-            "name": "rank_bound",
-            "passed": tail <= tol.rank_svals,
-            "value": tail,
-            "threshold": tol.rank_svals,
-        }
-    )
+
+    checks = [
+        {"name": name, "passed": passed, "value": value, "threshold": threshold}
+        for name, value, threshold, passed in (
+            ("structure", float(len(structure.issues)), 0.0, structure.ok),
+            ("decomposition_residual", report.residual, tol.residual,
+             report.residual <= tol.residual),
+            ("psd_margin", report.psd_margin, tol.psd_margin,
+             report.psd_margin >= -tol.psd_margin),
+            ("node_interpolation", node_err, tol.node_interpolation,
+             node_err <= tol.node_interpolation),
+            ("kernel_match", match, tol.kernel_match, match <= tol.kernel_match),
+            ("unit_norm", norm_dev, tol.unit_norm, norm_dev <= tol.unit_norm),
+            ("rank_bound", tail, tol.rank_svals, tail <= tol.rank_svals),
+        )
+    ]
+    if structure.issues:
+        checks[0]["issues"] = list(structure.issues)
 
     passed = all(c["passed"] for c in checks)
     _write_json(
@@ -369,14 +324,16 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path(cfg.out_dir or ".")
         out.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, out, args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NoValidDecomposition, IllConditionedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # the config and kernel files raise ConfigError/DomainError when
+        # unreadable, so this is the output directory
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

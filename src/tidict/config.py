@@ -10,8 +10,10 @@ the offending path.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -68,9 +70,39 @@ class ExperimentConfig:
     out_dir: str | None
 
 
-def _schema() -> dict:
-    text = resources.files(__package__).joinpath("schemas/config.schema.json").read_text()
-    return json.loads(text)
+SCHEMA_FILE = "schemas/config.schema.json"
+
+
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """Validator of the shipped schema, built once per process.
+
+    The schema is package data, so it is not checked against the metaschema
+    here; the test suite does that.
+    """
+    text = resources.files(__package__).joinpath(SCHEMA_FILE).read_text(encoding="utf-8")
+    return jsonschema.Draft202012Validator(json.loads(text))
+
+
+def _finite_number(text: str) -> float:
+    """JSON number parser that rejects ``NaN``, ``Infinity`` and overflow to infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _overrides(cls, section: dict) -> dict:
+    """The entries of ``section`` that set a defaulted field of dataclass ``cls``.
+
+    Each value is coerced to the type of the field's default, so the
+    dataclass stays the only place that states the default.
+    """
+    return {
+        f.name: type(f.default)(section[f.name])
+        for f in fields(cls)
+        if f.default is not MISSING and f.name in section
+    }
 
 
 def _vector(value, dim: int, field: str) -> np.ndarray:
@@ -97,23 +129,29 @@ def load_config(path) -> ExperimentConfig:
     Raises
     ------
     ConfigError
-        If the file is missing, not valid JSON, fails schema validation
-        (the message names the JSON path of the violation), or describes
-        inconsistent objects (for example mismatched dimensions).
+        If the file is missing or unreadable, is not valid UTF-8 JSON, holds
+        a non-finite number, fails schema validation (the message names
+        the JSON path of the violation), or describes inconsistent objects
+        (for example mismatched dimensions).
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_float=_finite_number,
+            parse_constant=_finite_number,
+        )
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, _schema(), cls=jsonschema.Draft202012Validator)
-    except jsonschema.ValidationError as exc:
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
         raise ConfigError(
-            f"config file {path} violates the schema at {exc.json_path}: {exc.message}"
-        ) from exc
+            f"config file {path} violates the schema at {error.json_path}: {error.message}"
+        ) from error
 
     try:
         return _resolve(raw)
@@ -121,6 +159,8 @@ def load_config(path) -> ExperimentConfig:
         raise
     except TidictError as exc:
         raise ConfigError(f"config file {path} is inconsistent: {exc}") from exc
+    except OverflowError as exc:  # an integer beyond float or int64 range
+        raise ConfigError(f"config file {path} holds a number out of range: {exc}") from exc
 
 
 def _resolve(raw: dict) -> ExperimentConfig:
@@ -161,7 +201,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
             dim,
             "embedding.samples_per_axis",
         ),
-        truncation_tol=float(mcfg.get("truncation_tol", 1e-3)),
+        **_overrides(DiscreteEmbedding, mcfg),
     )
 
     tcfg = raw.get("taylor", {})
@@ -187,23 +227,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         snr_db=None if snr is None else float(snr),
         oracle_per_axis=int(scfg.get("oracle_per_axis", 200)),
         search=search,
-        settings=SelectAtomSettings(
-            coarse_per_axis=int(scfg.get("coarse_per_axis", 32)),
-            num_starts=int(scfg.get("num_starts", 8)),
-            max_iter=int(scfg.get("max_iter", 50)),
-            grad_tol=float(scfg.get("grad_tol", 1e-10)),
-        ),
-    )
-
-    tol = raw.get("tolerances", {})
-    tolerances = Tolerances(
-        residual=float(tol.get("residual", RESIDUAL_TOL)),
-        node_interpolation=float(tol.get("node_interpolation", 1e-7)),
-        kernel_match=float(tol.get("kernel_match", 1e-10)),
-        unit_norm=float(tol.get("unit_norm", 1e-10)),
-        psd_margin=float(tol.get("psd_margin", PSD_TOL)),
-        rank_svals=float(tol.get("rank_svals", 1e-8)),
-        condition_limit=float(tol.get("condition_limit", CONDITION_LIMIT)),
+        settings=SelectAtomSettings(**_overrides(SelectAtomSettings, scfg)),
     )
 
     return ExperimentConfig(
@@ -216,7 +240,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         taylor_order=taylor_order,
         taylor_center=taylor_center,
         select_atom=select_atom,
-        tolerances=tolerances,
+        tolerances=Tolerances(**_overrides(Tolerances, raw.get("tolerances", {}))),
         num_pairs=int(raw.get("validation", {}).get("num_pairs", 1000)),
         out_dir=raw.get("out_dir"),
     )

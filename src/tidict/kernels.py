@@ -204,7 +204,7 @@ class DiscreteEmbedding:
     kernel: GaussianIsotropicKernel
     lower: np.ndarray
     upper: np.ndarray
-    samples_per_axis: tuple = 128
+    samples_per_axis: tuple
     truncation_tol: float = 1e-3
 
     def __post_init__(self) -> None:

@@ -231,10 +231,10 @@ class RaisedCosineKernel:
             lambda0 = float(data["lambda0"])
             terms = data["terms"]
             rank = int(data["rank"])
+            weights = np.array([float(t["lambda"]) for t in terms])
+            freqs = np.array([[float(c) for c in t["w"]] for t in terms])
         except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed raised-cosine kernel data: {exc}") from exc
-        weights = np.array([float(t["lambda"]) for t in terms])
-        freqs = np.array([[float(c) for c in t["w"]] for t in terms])
+            raise DomainError(f"malformed raised-cosine kernel data: {exc!r}") from exc
         if dim is None:
             if freqs.size == 0:
                 raise DomainError("dim is required for a kernel with no cosine terms")
@@ -247,11 +247,11 @@ class RaisedCosineKernel:
     @classmethod
     def from_json(cls, path, dim: int | None = None) -> "RaisedCosineKernel":
         """Load a kernel written by :meth:`to_json`; a file that cannot be
-        read or is not JSON raises :class:`DomainError`."""
+        read, is not UTF-8 JSON or is malformed raises :class:`DomainError`."""
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise DomainError(f"cannot read kernel file {path}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
             raise DomainError(f"kernel file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data, dim=dim)

@@ -104,9 +104,16 @@ class TestCompareTaylor:
         assert summary["taylor_order"] == 2
         assert summary["proposed"]["max"] < summary["taylor"]["max"]
         assert summary["margin"]["max"] > 0.0
-        lines = (out / "compare.csv").read_text().splitlines()
+        raw = (out / "compare.csv").read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        lines = raw.decode().splitlines()
         assert lines[0] == "theta1,theta2,error_proposed,error_taylor"
         assert len(lines) == 1 + 25 * 25
+        # 17 significant digits, shortest form of the parsed value
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 4
+            assert all(c == format(float(c), ".17g") for c in cells)
 
     def test_rank_mismatch_exits_1(self, tmp_path, capsys):
         # six nodes give rank 6 but a degree-2 expansion in one parameter has rank 3
@@ -175,6 +182,7 @@ class TestValidate:
             "unit_norm",
             "rank_bound",
         ]
+        assert all(list(c) == ["name", "passed", "value", "threshold"] for c in report["checks"])
         assert all(c["passed"] for c in report["checks"])
 
     def test_odd_grid_has_constant_term(self, tmp_path):
@@ -223,16 +231,46 @@ class TestValidate:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "structure" in failed
         assert "kernel_match" in failed
+        keys = ["name", "passed", "value", "threshold"]
+        structure, *rest = report["checks"]
+        assert list(structure) == keys + ["issues"]
+        assert len(structure["issues"]) == structure["value"] > 0
+        assert all(list(c) == keys for c in rest)
 
 
     @pytest.mark.parametrize(
-        "content, message", [(None, "cannot read"), ("{oops", "not valid JSON")]
+        "content, message",
+        [
+            (None, "cannot read"),
+            ("{oops", "not valid JSON"),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"w": ["\u00df"]}]}'.encode("latin-1"),
+                "not valid JSON",
+                id="latin-1",
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"lambda": 0.5}]}', "malformed", id="no-w"
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"w": [1.0]}]}', "malformed", id="no-lambda"
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": 3}', "malformed", id="terms-not-a-list"
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"lambda": 0.5, "w": ["x"]}]}',
+                "malformed",
+                id="w-not-numeric",
+            ),
+        ],
     )
     def test_unreadable_kernel_json_exits_1(self, tmp_path, capsys, content, message):
         cfg = write_config(tmp_path, config_1d())
         kernel = tmp_path / "kernel.json"
-        if content is not None:
+        if isinstance(content, str):
             kernel.write_text(content)
+        elif content is not None:
+            kernel.write_bytes(content)
         code = main(
             ["validate", "--config", cfg, "--out", str(tmp_path), "--kernel-json", str(kernel)]
         )
@@ -265,6 +303,32 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, payload)
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "condition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("config-is-directory", "cannot read config file"),
+            ("config-latin-1", "not valid JSON"),
+            ("config-nan", "NaN is not a finite number"),
+            ("out-is-file", "cannot write output"),
+        ],
+    )
+    def test_unusable_input_or_output_exits_1(self, tmp_path, capsys, case, message):
+        cfg = Path(write_config(tmp_path, config_1d()))
+        out = tmp_path / "out"
+        if case == "config-is-directory":
+            cfg = tmp_path
+        elif case == "config-latin-1":
+            cfg.write_bytes(cfg.read_text().replace("gaussian", "gau\u00dfian").encode("latin-1"))
+        elif case == "config-nan":
+            payload = config_1d(tolerances={"condition_limit": 12345.5})
+            cfg.write_text(json.dumps(payload).replace("12345.5", "NaN"))
+        else:
+            out.write_text("")
+        assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
 
     def test_no_subcommand_exits_1(self):
         assert main([]) == 1

@@ -1,9 +1,12 @@
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
-from tidict import ConfigError, load_config
+import tidict.config
+from tidict import ConfigError, SelectAtomSettings, Tolerances, load_config
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -16,6 +19,12 @@ MINIMAL = {
     "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 1},
     "grid": {"origin": 0.0, "spacing": 1.0, "counts": 6},
 }
+
+
+def with_number(section, key, literal):
+    """MINIMAL with ``section.key`` set to a raw number literal, as bytes."""
+    text = json.dumps(dict(MINIMAL, **{section: {**MINIMAL.get(section, {}), key: 12345.5}}))
+    return text.replace("12345.5", literal).encode()
 
 
 class TestDefaults:
@@ -57,6 +66,11 @@ class TestDefaults:
         assert np.allclose(sa.search.upper, cfg.evaluation.upper)
         assert sa.settings.coarse_per_axis == 32
         assert sa.settings.num_starts == 8
+
+    def test_dataclass_defaults_are_the_only_copy(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, MINIMAL))
+        assert cfg.tolerances == Tolerances()
+        assert cfg.select_atom.settings == SelectAtomSettings()
 
     def test_tolerance_defaults(self, tmp_path):
         tol = load_config(write_config(tmp_path, MINIMAL)).tolerances
@@ -131,6 +145,26 @@ class TestFullConfig:
         assert cfg.embedding.samples_per_axis == (32, 32, 32)
 
 
+class TestSchema:
+    def test_shipped_schema_is_valid(self):
+        schema_file = resources.files("tidict").joinpath(tidict.config.SCHEMA_FILE)
+        schema = json.loads(schema_file.read_text(encoding="utf-8"))
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+    def test_load_config_does_not_check_the_schema(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("checked the shipped schema against the metaschema")
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", fail)
+        tidict.config._validator.cache_clear()
+        try:
+            path = write_config(tmp_path, MINIMAL)
+            load_config(path)
+            load_config(path)
+        finally:
+            tidict.config._validator.cache_clear()
+
+
 class TestRejections:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -176,3 +210,33 @@ class TestRejections:
         payload = dict(MINIMAL, evaluation={"lower": 5.0, "upper": 0.0})
         with pytest.raises(ConfigError, match="inconsistent"):
             load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read config file"),
+            (
+                json.dumps(MINIMAL).replace("gaussian", "gau\u00dfian").encode("latin-1"),
+                "not valid JSON: 'utf-8' codec can't decode",
+            ),
+            # json.loads accepts these, and NaN passes exclusiveMinimum: a NaN
+            # condition_limit would switch the conditioning guard off
+            (with_number("tolerances", "condition_limit", "NaN"), "NaN is not a finite"),
+            (with_number("tolerances", "residual", "Infinity"), "Infinity is not a finite"),
+            (with_number("embedding", "truncation_tol", "-Infinity"), "-Infinity is not a finite"),
+            (with_number("tolerances", "condition_limit", "1e400"), "1e400 is not a finite"),
+            (with_number("tolerances", "condition_limit", "1" + "0" * 400), "out of range"),
+            (with_number("grid", "counts", "1" + "0" * 30), "out of range"),
+        ],
+        ids=[
+            "directory", "latin-1", "nan", "infinity", "minus-infinity", "overflow",
+            "float-overflow-int", "int64-overflow-int",
+        ],
+    )
+    def test_unusable_file_rejected(self, tmp_path, content, message):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "config.json"
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
