@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError, TidictError
+from .errors import ConfigError, TidictError, finite_number
 from .gram import CONDITION_LIMIT, PSD_TOL, RESIDUAL_TOL, NodeGrid
 from .kernels import DiscreteEmbedding, GaussianIsotropicKernel, ParamBox
 from .lowrank import SelectAtomSettings
@@ -84,14 +83,6 @@ def _validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(json.loads(text))
 
 
-def _finite_number(text: str) -> float:
-    """JSON number parser that rejects ``NaN``, ``Infinity`` and overflow to infinity."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
 def _overrides(cls, section: dict) -> dict:
     """The entries of ``section`` that set a defaulted field of dataclass ``cls``.
 
@@ -138,8 +129,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         raw = json.loads(
             path.read_text(encoding="utf-8"),
-            parse_float=_finite_number,
-            parse_constant=_finite_number,
+            parse_float=finite_number,
+            parse_constant=finite_number,
         )
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON number hook."""
+
+import math
 
 
 class TidictError(Exception):
@@ -37,3 +39,11 @@ class NoValidDecomposition(TidictError):
 
 class ConfigError(TidictError):
     """An experiment configuration file is missing, unreadable or invalid."""
+
+
+def finite_number(text: str) -> float:
+    """``json.loads`` float/constant hook rejecting ``NaN``, ``Infinity`` and overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value

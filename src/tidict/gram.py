@@ -448,9 +448,7 @@ def verify_decomposition(
     residual_tol: float = RESIDUAL_TOL,
 ) -> DecompositionReport:
     """Check that ``rc`` reproduces the Gram matrix on its node differences."""
-    delta = gram.nodes[:, None, :] - gram.nodes[None, :, :]
-    L = gram.size
-    rc_gram = rc.eval(delta.reshape(L * L, gram.dim)).reshape(L, L)
+    rc_gram = rc.cross(gram.nodes, gram.nodes)
     residual = float(np.max(np.abs(rc_gram - gram.matrix)))
     psd_margin = float(np.linalg.eigvalsh(0.5 * (rc_gram + rc_gram.T))[0])
     ok = residual <= residual_tol and psd_margin >= -PSD_TOL

@@ -253,10 +253,6 @@ class DiscreteEmbedding:
         """Total number of lattice points (the ambient dimension of atom vectors)."""
         return int(np.prod(self.samples_per_axis))
 
-    def _axis_profile(self, a: int, center: float) -> np.ndarray:
-        x = self.axes[a] - center
-        return np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
-
     def _single(self, theta, name: str) -> np.ndarray:
         th, single = as_param_array(theta, self.dim, name=name)
         if not single and th.shape[0] != 1:
@@ -315,20 +311,20 @@ class DiscreteEmbedding:
 
     def atom(self, theta) -> np.ndarray:
         """Unit-norm sample vector of the atom at ``theta``, flattened row-major."""
-        t = self._single(theta, "theta")
-        self.check_window(t[None, :])
-        vec = self._axis_profile(0, t[0])
-        for a in range(1, self.dim):
-            vec = np.multiply.outer(vec, self._axis_profile(a, t[a]))
-        vec = vec.ravel()
-        return vec / np.linalg.norm(vec)
+        return self.atoms(self._single(theta, "theta")[None, :])[0]
 
-    def atoms(self, thetas: np.ndarray) -> np.ndarray:
-        """Stack of unit-norm atoms, shape ``(n, size)``."""
-        th, _ = as_param_array(thetas, self.dim)
-        out = np.empty((th.shape[0], self.size))
-        for i in range(th.shape[0]):
-            out[i] = self.atom(th[i])
+    def atoms(self, thetas) -> np.ndarray:
+        """Stack of unit-norm atoms, shape ``(n, size)``: outer products of axis profiles."""
+        pts, _ = as_param_array(thetas, self.dim)
+        self.check_window(pts)
+        n = pts.shape[0]
+        out = np.ones((n, 1))
+        for a in range(self.dim):
+            x = self.axes[a] - pts[:, a, None]
+            profile = np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
+            out = (out[:, :, None] * profile[:, None, :]).reshape(n, -1)
+        for row in out:
+            row /= np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent
         return out
 
     def inner(self, theta, theta_prime) -> float:

@@ -130,19 +130,11 @@ class LowRankDictionary:
         Shape ``(L,)`` for a single parameter, ``(n, L)`` for a stack.
         """
         pts, single = as_param_array(theta, self.dim)
-        delta = pts[:, None, :] - self.nodes[None, :, :]
-        c = self.rc.eval(delta.reshape(-1, self.dim)).reshape(pts.shape[0], self.rank)
+        c = self.rc.cross(pts, self.nodes)
         return c[0] if single else c
 
     # ------------------------------------------------------------------
     # inner products and errors
-
-    def _exact_coeffs(self, theta) -> np.ndarray:
-        pts, _ = as_param_array(theta, self.dim)
-        delta = pts[:, None, :] - self.nodes[None, :, :]
-        return self.kernel.eval(delta.reshape(-1, self.dim)).reshape(
-            pts.shape[0], self.rank
-        )
 
     def approx_inner(self, theta, theta_prime):
         """Inner product between two *approximated* atoms.
@@ -155,21 +147,9 @@ class LowRankDictionary:
         b, single_b = as_param_array(theta_prime, self.dim)
         if a.shape[0] != b.shape[0]:
             raise DomainError("theta and theta_prime stacks must have equal length")
-        c = self.coefficients(a).reshape(a.shape[0], self.rank)
-        cp = self.coefficients(b).reshape(b.shape[0], self.rank)
+        c = self.coefficients(a)
+        cp = self.coefficients(b)
         vals = np.sum(c * self.gram.solve(cp.T).T, axis=1)
-        return float(vals[0]) if single_a and single_b else vals
-
-    def cross_inner(self, theta, theta_prime):
-        """Inner product between an *exact* atom at ``theta`` and the
-        approximated atom at ``theta_prime``."""
-        a, single_a = as_param_array(theta, self.dim)
-        b, single_b = as_param_array(theta_prime, self.dim)
-        if a.shape[0] != b.shape[0]:
-            raise DomainError("theta and theta_prime stacks must have equal length")
-        k = self._exact_coeffs(a)
-        cp = self.coefficients(b).reshape(b.shape[0], self.rank)
-        vals = np.sum(k * self.gram.solve(cp.T).T, axis=1)
         return float(vals[0]) if single_a and single_b else vals
 
     def approx_error(self, theta):
@@ -182,7 +162,8 @@ class LowRankDictionary:
         """
         pts, single = as_param_array(theta, self.dim)
         c = self.coefficients(pts)
-        k = self._exact_coeffs(pts)
+        delta = pts[:, None, :] - self.nodes[None, :, :]
+        k = self.kernel.eval(delta.reshape(-1, self.dim)).reshape(pts.shape[0], self.rank)
         solved = self.gram.solve(c.T).T
         approx = np.sum(c * solved, axis=1)
         cross = np.sum(k * solved, axis=1)

@@ -13,10 +13,10 @@ ties the number of cosine terms to the target rank ``L``:
 
     K = floor(L / 2),   lambda0 = 0  iff  L is even.
 
-Instances are immutable.  Construction canonicalizes the sign of each
-frequency vector (first nonzero component made positive), prunes terms with
-negligible weight, and sorts terms by frequency so that equal kernels have
-identical serialized forms.
+Instances are immutable.  Construction rejects non-finite values,
+canonicalizes the sign of each frequency vector (first nonzero component
+made positive), prunes terms with negligible weight, and sorts terms by
+frequency so that equal kernels have identical serialized forms.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_number
 from .kernels import as_param_array
 
 __all__ = ["RaisedCosineKernel", "ValidationReport"]
@@ -90,6 +90,7 @@ class RaisedCosineKernel:
         dim = int(self.dim)
         if dim < 1:
             raise DomainError("dim must be >= 1")
+        lam = float(self.lambda0)
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         f = np.asarray(self.freqs, dtype=float)
         if f.size == 0:
@@ -102,6 +103,9 @@ class RaisedCosineKernel:
             raise DomainError(
                 f"got {w.shape[0]} weights for {f.shape[0]} frequency vectors"
             )
+        # checked before pruning, which would drop a NaN weight as "tiny"
+        if not (np.isfinite(lam) and np.isfinite(w).all() and np.isfinite(f).all()):
+            raise DomainError("raised-cosine lambda0, weights and frequencies must be finite")
         keep = np.abs(w) >= WEIGHT_PRUNE_TOL
         if not np.all(keep):
             warnings.warn(
@@ -116,7 +120,7 @@ class RaisedCosineKernel:
         w.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "lambda0", float(self.lambda0))
+        object.__setattr__(self, "lambda0", lam)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "rank", int(self.rank))
@@ -133,6 +137,18 @@ class RaisedCosineKernel:
 
     __call__ = eval
 
+    def cross(self, x, y) -> np.ndarray:
+        """Kernel matrix ``rc(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
+
+        Each term splits as ``cos(w.x) cos(w.y) + sin(w.x) sin(w.y)``, so the
+        cost is ``(n + m) K`` trigonometric evaluations, not ``n m K``.  Unlike
+        :meth:`feature_map` it takes no square roots, so any weight sign works.
+        """
+        xs, _ = as_param_array(x, self.dim)
+        ys, _ = as_param_array(y, self.dim)
+        px, py, w = xs @ self.freqs.T, ys @ self.freqs.T, self.weights
+        return self.lambda0 + (np.cos(px) * w) @ np.cos(py).T + (np.sin(px) * w) @ np.sin(py).T
+
     def feature_map(self, theta) -> np.ndarray:
         """Explicit finite-dimensional features whose inner products equal the kernel.
 
@@ -144,20 +160,13 @@ class RaisedCosineKernel:
             raise DomainError("feature map requires nonnegative weights")
         pts, single = as_param_array(theta, self.dim)
         phases = pts @ self.freqs.T
-        cols = []
-        if self.lambda0 > 0.0:
-            cols.append(np.full((pts.shape[0], 1), np.sqrt(self.lambda0)))
         root = np.sqrt(self.weights)
-        cols.append(root * np.cos(phases))
-        cols.append(root * np.sin(phases))
-        out = np.concatenate(cols, axis=1)
-        # interleave cos/sin per term after the optional constant column
-        head = 1 if self.lambda0 > 0.0 else 0
-        k = self.num_terms
-        idx = np.empty(2 * k, dtype=int)
-        idx[0::2] = head + np.arange(k)
-        idx[1::2] = head + k + np.arange(k)
-        out = out[:, np.concatenate([np.arange(head), idx])]
+        # cos/sin interleaved per term, after the optional constant column
+        out = np.stack([root * np.cos(phases), root * np.sin(phases)], axis=-1)
+        out = out.reshape(pts.shape[0], 2 * self.num_terms)
+        if self.lambda0 > 0.0:
+            head = np.full((pts.shape[0], 1), np.sqrt(self.lambda0))
+            out = np.concatenate([head, out], axis=1)
         return out[0] if single else out
 
     def feature_dim(self) -> int:
@@ -233,7 +242,7 @@ class RaisedCosineKernel:
             rank = int(data["rank"])
             weights = np.array([float(t["lambda"]) for t in terms])
             freqs = np.array([[float(c) for c in t["w"]] for t in terms])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed raised-cosine kernel data: {exc!r}") from exc
         if dim is None:
             if freqs.size == 0:
@@ -247,11 +256,13 @@ class RaisedCosineKernel:
     @classmethod
     def from_json(cls, path, dim: int | None = None) -> "RaisedCosineKernel":
         """Load a kernel written by :meth:`to_json`; a file that cannot be
-        read, is not UTF-8 JSON or is malformed raises :class:`DomainError`."""
+        read, is not UTF-8 JSON, holds a non-finite number or is malformed
+        raises :class:`DomainError`."""
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
+            data = json.loads(text, parse_float=finite_number, parse_constant=finite_number)
         except OSError as exc:
             raise DomainError(f"cannot read kernel file {path}: {exc.strerror}") from exc
-        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, non-finite
             raise DomainError(f"kernel file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data, dim=dim)

@@ -112,6 +112,21 @@ def fine_grid_argmax(embedding, box, signal, points_per_axis):
     return theta, value, float(np.linalg.norm(cell))
 
 
+def outer_product_atom(embedding, theta):
+    """One unit-norm sampled atom, built as an outer product one axis at a time.
+
+    No window check: this is the arithmetic reference for
+    ``DiscreteEmbedding.atoms``, which must match it bit for bit.
+    """
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    vec = np.ones(())
+    for a in range(embedding.dim):
+        x = embedding.axes[a] - t[a]
+        vec = np.multiply.outer(vec, np.exp(-(x * x) / (2.0 * embedding.kernel.sigma**2)))
+    vec = vec.ravel()
+    return vec / np.linalg.norm(vec)
+
+
 def truncation_deficit_loop(embedding, theta):
     """Window truncation deficit of one atom, one axis and one lattice range at a time.
 

@@ -262,6 +262,26 @@ class TestValidate:
                 "malformed",
                 id="w-not-numeric",
             ),
+            pytest.param(
+                '{"lambda0": NaN, "rank": 2, "terms": [{"lambda": 0.5, "w": [1.0]}]}',
+                "not a finite number",
+                id="nan-lambda",
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"lambda": 0.5, "w": [Infinity]}]}',
+                "not a finite number",
+                id="infinity-w",
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"lambda": 1e400, "w": [1.0]}]}',
+                "not a finite number",
+                id="float-overflow",
+            ),
+            pytest.param(
+                '{"lambda0": 0.0, "rank": 2, "terms": [{"lambda": 1%s, "w": [1.0]}]}' % ("0" * 400),
+                "malformed",
+                id="int-overflow",
+            ),
         ],
     )
     def test_unreadable_kernel_json_exits_1(self, tmp_path, capsys, content, message):
@@ -277,7 +297,7 @@ class TestValidate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestErrorPaths:

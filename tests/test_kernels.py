@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tidict.kernels
-from oracles import truncation_deficit_loop
+from oracles import outer_product_atom, truncation_deficit_loop
 from tidict import (
     DiscreteEmbedding,
     DomainError,
@@ -171,6 +171,13 @@ class TestDiscreteEmbedding:
         assert batch.shape == (2, emb.size)
         assert np.array_equal(batch[0], emb.atom(thetas[0]))
         assert np.array_equal(batch[1], emb.atom(thetas[1]))
+        # one batched pass gives each atom exactly as the per-atom outer product
+        for dim, samples in ((1, 300), (2, 64), (3, 20)):
+            k = GaussianIsotropicKernel(sigma=0.8, dim=dim)
+            emb = DiscreteEmbedding(k, [-5.0] * dim, [6.0] * dim, samples)
+            thetas = np.random.default_rng(dim).uniform(-1.0, 2.0, size=(5, dim))
+            ref = np.array([outer_product_atom(emb, t) for t in thetas])
+            assert np.array_equal(emb.atoms(thetas), ref)
 
     def test_window_validation(self, gauss1, gauss2):
         with pytest.raises(DomainError):

@@ -68,6 +68,22 @@ class TestCoefficients:
         pts = rng.uniform(0, 5, size=(17, 1))
         assert ld6.coefficients(pts).shape == (17, 6)
 
+    def test_no_raised_cosine_eval_on_the_dictionary_path(self, gauss2, grid23, rng, monkeypatch):
+        # construction, coefficients and errors use the product form only;
+        # eval stays an independent reference for validate's kernel_match
+        gram = build_gram(gauss2, grid23)
+        rc = decompose_grid(gauss2, grid23)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("RaisedCosineKernel.eval called")
+
+        monkeypatch.setattr(RaisedCosineKernel, "eval", fail)
+        monkeypatch.setattr(RaisedCosineKernel, "__call__", fail)
+        ld = LowRankDictionary(gauss2, gram, rc)
+        pts = rng.uniform(0.0, 2.0, size=(40, 2))
+        assert ld.coefficients(pts).shape == (40, 6)
+        assert np.all(ld.approx_error(pts) >= 0.0)
+
     def test_dual_coords_invert_gram(self, ld6):
         coords = ld6.gram.inverse
         assert np.max(np.abs(coords @ ld6.gram.matrix - np.eye(6))) < 1e-10
@@ -105,17 +121,8 @@ class TestInnerProducts:
         pts = ParamBox([0.0], [5.0]).sample(rng, 500)
         assert np.max(np.abs(ld6.approx_inner(pts, pts) - 1.0)) < 1e-12
 
-    def test_cross_inner_against_embedding(self, ld6, emb1, rng):
-        thetas = ParamBox([0.5], [4.5]).sample(rng, 25)
-        surrogates = embedded_surrogate_atoms(ld6, emb1, thetas)
-        exact = emb1.atoms(thetas + 0.3)
-        want = np.sum(exact * surrogates, axis=1)
-        got = ld6.cross_inner(thetas + 0.3, thetas)
-        assert np.max(np.abs(got - want)) < 1e-6
-
     def test_scalar_inputs_give_floats(self, ld6):
         assert isinstance(ld6.approx_inner(0.5, 1.5), float)
-        assert isinstance(ld6.cross_inner(0.5, 1.5), float)
         assert isinstance(ld6.approx_error(0.5), float)
 
     def test_batch_length_mismatch(self, ld6):

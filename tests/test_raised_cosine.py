@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from tidict import DomainError, RaisedCosineKernel
+from tidict import (
+    DomainError,
+    GaussianIsotropicKernel,
+    NodeGrid,
+    RaisedCosineKernel,
+    decompose_grid,
+)
 
 
 def make_odd():
@@ -71,6 +77,19 @@ class TestConstruction:
             )
         assert rc.num_terms == 1
 
+    @pytest.mark.parametrize(
+        "lambda0, weights, freqs",
+        [
+            (float("nan"), [0.5], [[1.0]]),
+            (0.0, [float("nan")], [[1.0]]),
+            (0.0, [0.5], [[float("inf")]]),
+        ],
+        ids=["nan-lambda0", "nan-weight", "inf-freq"],
+    )
+    def test_non_finite_values_rejected(self, lambda0, weights, freqs):
+        with pytest.raises(DomainError, match="finite"):
+            RaisedCosineKernel(dim=1, lambda0=lambda0, weights=weights, freqs=freqs, rank=2)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DomainError):
             RaisedCosineKernel(
@@ -85,6 +104,37 @@ class TestConstruction:
         rc = make_odd()
         with pytest.raises(ValueError):
             rc.weights[0] = 2.0
+
+
+def make_3d_separable():
+    kernel = GaussianIsotropicKernel(sigma=1.0, dim=3)
+    return decompose_grid(kernel, NodeGrid([0.0, 0.0, 0.0], [1.0, 0.8, 1.2], [2, 2, 3]))
+
+
+def make_constant():
+    return RaisedCosineKernel(dim=1, lambda0=0.8, weights=[], freqs=[], rank=1)
+
+
+def make_negative():
+    return RaisedCosineKernel(
+        dim=2, lambda0=-0.2, weights=[0.6, -0.1], freqs=[[1.0, 0.3], [2.0, -0.5]], rank=4
+    )
+
+
+class TestCross:
+    @pytest.mark.parametrize(
+        "make",
+        [make_odd, make_even_2d, make_3d_separable, make_constant, make_negative],
+        ids=["odd-1d", "even-2d", "separable-3d", "zero-terms", "negative-weight"],
+    )
+    def test_cross_matches_eval(self, make, rng):
+        rc = make()
+        x = rng.uniform(-3.0, 3.0, size=(13, rc.dim))
+        y = rng.uniform(-3.0, 3.0, size=(9, rc.dim))
+        want = rc.eval((x[:, None, :] - y[None, :, :]).reshape(-1, rc.dim)).reshape(13, 9)
+        got = rc.cross(x, y)
+        assert got.shape == (13, 9)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestFeatureMap:
@@ -102,6 +152,15 @@ class TestFeatureMap:
             assert fa.shape == (100, rc.feature_dim())
             got = np.sum(fa * fb, axis=1)
             assert np.max(np.abs(got - rc.eval(a - b))) < 1e-12
+
+    def test_columns_interleave_cos_sin_per_term(self, rng):
+        for rc in (make_odd(), make_even_2d()):
+            theta = rng.normal(size=(7, rc.dim))
+            phases = theta @ rc.freqs.T
+            cols = [np.full(7, np.sqrt(rc.lambda0))] if rc.lambda0 > 0.0 else []
+            for k, w in enumerate(rc.weights):
+                cols += [np.sqrt(w) * np.cos(phases[:, k]), np.sqrt(w) * np.sin(phases[:, k])]
+            assert np.array_equal(rc.feature_map(theta), np.column_stack(cols))
 
     def test_feature_norm_is_kernel_at_zero(self, rng):
         rc = make_odd()
