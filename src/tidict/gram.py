@@ -118,9 +118,8 @@ class GramSystem:
     """A positive definite node Gram matrix.
 
     Wraps ``G[i, j] = kappa(theta_i - theta_j)`` together with the
-    machinery needed downstream: linear solves against ``G``, the explicit
-    inverse, and the 2-norm condition number.  Instances are built by
-    :func:`build_gram`.
+    machinery needed downstream: linear solves against ``G`` and the 2-norm
+    condition number.  Instances are built by :func:`build_gram`.
     """
 
     def __init__(
@@ -162,11 +161,6 @@ class GramSystem:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``G x = rhs`` for a vector or a stack of columns."""
         return np.linalg.solve(self.matrix, rhs)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        inv = self.solve(np.eye(self.size))
-        return 0.5 * (inv + inv.T)
 
 
 def build_gram(

@@ -105,12 +105,6 @@ class ParamBox:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, theta, atol: float = 0.0):
-        """Membership test; returns a bool for a single vector, a bool array for a stack."""
-        pts, single = as_param_array(theta, self.dim)
-        ok = np.all((pts >= self.lower - atol) & (pts <= self.upper + atol), axis=1)
-        return bool(ok[0]) if single else ok
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` uniform parameter vectors, shape ``(n, dim)``."""
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
@@ -175,6 +169,26 @@ class GaussianIsotropicKernel(TIKernel):
     def _eval_batch(self, deltas: np.ndarray) -> np.ndarray:
         sq = np.sum(deltas * deltas, axis=1)
         return np.exp(-sq / (4.0 * self.sigma**2))
+
+    def cross(self, x, y) -> np.ndarray:
+        """Kernel matrix ``kappa(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
+
+        The kernel is a product of one factor per axis, so this takes one
+        ``(n, U_a)`` table of exponentials per axis, ``U_a`` the number of
+        distinct coordinates of ``y`` on that axis, and never forms the
+        ``n m`` displacements.  In one dimension the values equal
+        :meth:`eval` at ``x_i - y_j`` bit for bit.  The result is
+        C-contiguous, like :meth:`eval` of the displacements reshaped.
+        """
+        xs, _ = as_param_array(x, self.dim)
+        ys, _ = as_param_array(y, self.dim)
+        out = None
+        for a in range(self.dim):
+            coords, inverse = np.unique(ys[:, a], return_inverse=True)
+            d = xs[:, a, None] - coords
+            factor = np.take(np.exp(-(d * d) / (4.0 * self.sigma**2)), inverse, axis=1)
+            out = factor if out is None else out * factor
+        return out
 
     def __repr__(self) -> str:
         return f"GaussianIsotropicKernel(sigma={self.sigma}, dim={self.dim})"
@@ -297,16 +311,47 @@ class DiscreteEmbedding:
         """:meth:`truncation_deficits` of a single parameter vector."""
         return float(self.truncation_deficits(self._single(theta, "theta")[None, :])[0])
 
+    def _deficit_bounds(self, pts: np.ndarray) -> np.ndarray:
+        """Upper bounds on :meth:`truncation_deficits`, two exponentials per point and axis.
+
+        With ``mass = sigma sqrt(pi) / h`` on an axis of step ``h``, the
+        lattice terms beyond a window edge at distance ``D >= 0`` sum to at
+        most ``mass / 2 * exp(-D^2 / sigma^2)``, and the 9-sigma band sums to
+        at least ``mass - 1`` less its cut-off tails.  A point outside the
+        window, or any point on an axis with ``mass <= 1``, gets the trivial
+        bound 1.
+        """
+        sig = self.kernel.sigma
+        kept = np.ones(pts.shape[0])
+        for a in range(self.dim):
+            mass = sig * math.sqrt(math.pi) / self.steps[a]
+            band = mass - 1.0 - (mass + 2.0) * math.exp(-81.0)
+            if band <= 0.0:
+                return np.ones(pts.shape[0])
+            d_lo = pts[:, a] - self.lower[a]
+            d_hi = self.upper[a] - pts[:, a]
+            out = 0.5 * mass * (np.exp(-(d_lo * d_lo) / sig**2) + np.exp(-(d_hi * d_hi) / sig**2))
+            inside = (d_lo >= 0.0) & (d_hi >= 0.0)
+            kept *= np.where(inside, np.maximum(1.0 - out / band, 0.0), 0.0)
+        return 1.0 - np.sqrt(kept)
+
     def check_window(self, thetas) -> None:
-        """Raise :class:`TruncationError` for the first atom the window cuts off."""
+        """Raise :class:`TruncationError` for the first atom the window cuts off.
+
+        Exact deficits are computed only for the points whose
+        :meth:`_deficit_bounds` do not already clear the tolerance.
+        """
         pts, _ = as_param_array(thetas, self.dim)
-        deficits = self.truncation_deficits(pts)
+        suspect = np.flatnonzero(self._deficit_bounds(pts) > self.truncation_tol)
+        if not suspect.size:
+            return
+        deficits = self.truncation_deficits(pts[suspect])
         over = np.flatnonzero(deficits > self.truncation_tol)
         if over.size:
             i = over[0]
             raise TruncationError(
-                f"atom at theta={pts[i].tolist()} loses {deficits[i]:.3e} of its norm "
-                f"outside the window (tolerance {self.truncation_tol:g})"
+                f"atom at theta={pts[suspect[i]].tolist()} loses {deficits[i]:.3e} of its "
+                f"norm outside the window (tolerance {self.truncation_tol:g})"
             )
 
     def atom(self, theta) -> np.ndarray:
@@ -326,7 +371,3 @@ class DiscreteEmbedding:
         for row in out:
             row /= np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent
         return out
-
-    def inner(self, theta, theta_prime) -> float:
-        """Discrete inner product between two sampled atoms."""
-        return float(np.dot(self.atom(theta), self.atom(theta_prime)))

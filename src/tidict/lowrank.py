@@ -35,6 +35,9 @@ from .raised_cosine import RaisedCosineKernel
 
 __all__ = ["LowRankDictionary", "SelectAtomSettings"]
 
+# points per block in LowRankDictionary.approx_error
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SelectAtomSettings:
@@ -159,15 +162,25 @@ class LowRankDictionary:
         error follows from inner products alone:
         ``sqrt(1 - 2 <a, a~> + <a~, a~>)``, clipped at zero before the
         square root to absorb roundoff.
+
+        Points are taken ``_CHUNK`` at a time, so memory does not grow with
+        the number of points beyond the result.
         """
         pts, single = as_param_array(theta, self.dim)
-        c = self.coefficients(pts)
-        delta = pts[:, None, :] - self.nodes[None, :, :]
-        k = self.kernel.eval(delta.reshape(-1, self.dim)).reshape(pts.shape[0], self.rank)
-        solved = self.gram.solve(c.T).T
-        approx = np.sum(c * solved, axis=1)
-        cross = np.sum(k * solved, axis=1)
-        err = np.sqrt(np.clip(1.0 - 2.0 * cross + approx, 0.0, None))
+        err = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _CHUNK):
+            block = pts[start : start + _CHUNK]
+            # numpy hands a lone row to the BLAS and LAPACK vector routines,
+            # whose sums differ from the matrix routines'; a pair keeps a
+            # point's bits those of a larger block
+            rows = block if block.shape[0] > 1 else np.vstack([block, block])
+            c = self.coefficients(rows)
+            k = self.kernel.cross(rows, self.nodes)
+            solved = self.gram.solve(c.T).T
+            approx = np.sum(c * solved, axis=1)
+            cross = np.sum(k * solved, axis=1)
+            sq = np.clip(1.0 - 2.0 * cross + approx, 0.0, None)
+            err[start : start + block.shape[0]] = np.sqrt(sq[: block.shape[0]])
         return float(err[0]) if single else err
 
     # ------------------------------------------------------------------

@@ -169,9 +169,6 @@ class RaisedCosineKernel:
             out = np.concatenate([head, out], axis=1)
         return out[0] if single else out
 
-    def feature_dim(self) -> int:
-        return 2 * self.num_terms + (1 if self.lambda0 > 0.0 else 0)
-
     def validate(
         self,
         weight_tol: float = WEIGHT_PRUNE_TOL,

@@ -24,7 +24,6 @@ kappa_1(delta)``, so evaluating the error costs O(L^2) per point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,9 @@ from .errors import DomainError, TruncationError
 from .kernels import DiscreteEmbedding, as_param_array
 
 __all__ = ["multi_indices", "TaylorApproximation"]
+
+# points per block in TaylorApproximation.errors
+_CHUNK = 4096
 
 
 def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
@@ -149,43 +151,42 @@ class TaylorApproximation:
         return np.ascontiguousarray(np.prod(factors, axis=-1))
 
     def monomials(self, theta) -> np.ndarray:
-        """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index."""
+        """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index.
+
+        Per axis, ``delta^n / n!`` is the running product of ``delta / j``
+        for ``j = 1 .. n``.
+        """
         pts, single = as_param_array(theta, self.dim)
-        n = np.arange(self.order + 1)
-        fact = np.array([math.factorial(k) for k in n], dtype=float)
-        out = self._products((pts - self.center)[:, :, None] ** n / fact)
+        steps = (pts - self.center)[:, :, None] / np.arange(1, self.order + 1)
+        powers = np.ones(steps.shape[:2] + (self.order + 1,))
+        np.cumprod(steps, axis=-1, out=powers[:, :, 1:])
+        out = self._products(powers)
         return out[0] if single else out
 
-    def error(self, theta) -> float:
-        """Distance between the atom at ``theta`` and its Taylor surrogate."""
-        pts, single = as_param_array(theta, self.dim)
-        if not single and pts.shape[0] != 1:
-            raise DomainError("theta must be a single parameter vector")
-        return float(self.errors(pts)[0])
+    def errors(self, thetas: np.ndarray) -> np.ndarray:
+        """Distance between the atom at each point and its Taylor surrogate.
 
-    def errors(self, thetas: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """Vector of :meth:`error` values over a stack, computed in chunks.
-
-        Raises :class:`TruncationError` for the first point whose atom the
+        Points are taken ``_CHUNK`` at a time, so memory does not grow with
+        the number of points beyond the result, and every point's error is
+        the same bits whatever batch it comes in.  Raises
+        :class:`TruncationError` for the first point whose atom the
         embedding window cuts off.
         """
         pts, _ = as_param_array(thetas, self.dim)
-        self.embedding.check_window(pts)
         two_sigma = 2.0 * self.embedding.kernel.sigma
         scale = two_sigma ** -np.arange(self.order + 1, dtype=float)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
+        for start in range(0, pts.shape[0], _CHUNK):
+            block = pts[start : start + _CHUNK]
+            self.embedding.check_window(block)
             x = (block - self.center) / two_sigma
             # d^n_{theta0} kappa_1(delta) per axis and order, then per index
             deriv = self._products(
                 scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
             )
             mono = self.monomials(block)
-            sq = (
-                1.0
-                - 2.0 * np.einsum("ij,ij->i", mono, deriv)
-                + np.einsum("ij,jk,ik->i", mono, self.gram, mono)
-            )
+            # einsum, not BLAS: its sums do not depend on the block size
+            quad = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", mono, self.gram), mono)
+            sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
             out[start : start + block.shape[0]] = np.sqrt(np.maximum(sq, 0.0))
         return out

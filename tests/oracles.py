@@ -209,3 +209,52 @@ def sampled_taylor_errors(embedding, center, order, thetas):
         )
         out[i] = np.linalg.norm(embedding.atom(theta) - mono @ basis)
     return out
+
+
+def gram_inverse(gram):
+    """Explicit inverse of a Gram system's matrix, symmetrized."""
+    inv = gram.solve(np.eye(gram.size))
+    return 0.5 * (inv + inv.T)
+
+
+def feature_dim(rc):
+    """Length of a raised-cosine feature vector: ``2K``, plus one when ``lambda0 > 0``."""
+    return 2 * rc.num_terms + (1 if rc.lambda0 > 0.0 else 0)
+
+
+def box_contains(box, theta, atol=0.0):
+    """Whether a parameter vector lies in a box, each bound widened by ``atol``."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    return bool(np.all((t >= box.lower - atol) & (t <= box.upper + atol)))
+
+
+def embedded_inner(embedding, theta, theta_prime):
+    """Discrete inner product between two sampled atoms."""
+    return float(np.dot(embedding.atom(theta), embedding.atom(theta_prime)))
+
+
+def taylor_error(taylor, theta):
+    """Taylor surrogate error at one parameter vector, from a batch of one."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float)).reshape(1, taylor.dim)
+    return float(taylor.errors(t)[0])
+
+
+def savetxt_csv(path, header, rows):
+    """The CSV writer the CLI's must match byte for byte: ``np.savetxt`` at 17 digits."""
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+
+def check_window_exact(embedding, thetas):
+    """Window check from exact deficits of every point: the first over tolerance raises."""
+    from tidict import TruncationError
+
+    pts = np.asarray(thetas, dtype=float).reshape(-1, embedding.dim)
+    deficits = embedding.truncation_deficits(pts)
+    over = np.flatnonzero(deficits > embedding.truncation_tol)
+    if over.size:
+        i = over[0]
+        raise TruncationError(
+            f"atom at theta={pts[i].tolist()} loses {deficits[i]:.3e} of its norm "
+            f"outside the window (tolerance {embedding.truncation_tol:g})"
+        )

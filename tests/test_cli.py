@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import tidict
+import tidict.cli
+from oracles import savetxt_csv
 from tidict.cli import main
 
 
@@ -91,6 +93,22 @@ class TestErrormap:
         assert np.all(node_rows[:, 1] <= 1e-7)
         assert np.all(data[:, 1] >= 0.0)
         assert np.max(data[:, 1]) > 1e-3
+
+
+class TestWriteCsv:
+    BLOCK = tidict.cli._CSV_BLOCK
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_bytes_match_savetxt(self, tmp_path, rows, cols):
+        special = [-0.0, 5e-324, 1e300, 3.0, -7.0, 0.0, 0.1, -1e-300]
+        values = np.random.default_rng(rows + cols).normal(size=rows * cols)
+        values[: min(values.size, len(special))] = special[: values.size]
+        data = values.reshape(rows, cols)
+        header = [f"c{j}" for j in range(cols)]
+        tidict.cli._write_csv(tmp_path / "got.csv", header, data)
+        savetxt_csv(tmp_path / "want.csv", header, data)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestCompareTaylor:

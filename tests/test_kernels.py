@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import tidict.kernels
-from oracles import outer_product_atom, truncation_deficit_loop
+from oracles import (
+    box_contains,
+    check_window_exact,
+    embedded_inner,
+    outer_product_atom,
+    truncation_deficit_loop,
+)
 from tidict import (
     DiscreteEmbedding,
     DomainError,
@@ -18,8 +24,8 @@ class TestParamBox:
         box = ParamBox([0.0, -1.0], [2.0, 3.0])
         assert box.dim == 2
         assert np.allclose(box.center, [1.0, 1.0])
-        assert box.contains([1.0, 0.0])
-        assert not box.contains([3.0, 0.0])
+        assert box_contains(box, [1.0, 0.0])
+        assert not box_contains(box, [3.0, 0.0])
 
     def test_empty_box_rejected(self):
         with pytest.raises(DomainError):
@@ -35,7 +41,7 @@ class TestParamBox:
         box = ParamBox([-2.0, 1.0], [0.5, 4.0])
         pts = box.sample(rng, 500)
         assert pts.shape == (500, 2)
-        assert np.all(box.contains(pts))
+        assert box_contains(box, pts)
 
     def test_grid_row_major_order(self):
         box = ParamBox([0.0, 0.0], [1.0, 2.0])
@@ -111,11 +117,11 @@ class TestDiscreteEmbedding:
     def test_inner_products_match_kernel(self, gauss1):
         emb = DiscreteEmbedding(gauss1, [-8.0], [8.0], 256)
         for d in (0.25, 0.5, 1.0, 2.0):
-            assert emb.inner(0.0, d) == pytest.approx(gauss1.eval(d), abs=1e-10)
+            assert embedded_inner(emb, 0.0, d) == pytest.approx(gauss1.eval(d), abs=1e-10)
 
     def test_inner_products_match_kernel_2d(self, gauss2):
         emb = DiscreteEmbedding(gauss2, [-6.0, -6.0], [8.0, 8.0], 128)
-        got = emb.inner([0.3, 1.1], [1.0, 0.2])
+        got = embedded_inner(emb, [0.3, 1.1], [1.0, 0.2])
         want = gauss2.eval([0.7, -0.9])
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -129,7 +135,7 @@ class TestDiscreteEmbedding:
         for n in (64, 128, 256):
             emb = DiscreteEmbedding(k, [-8.0], [8.0], n)
             devs.append(
-                max(abs(emb.inner(0.0, d) - k.eval(d)) for d in shifts)
+                max(abs(embedded_inner(emb, 0.0, d) - k.eval(d)) for d in shifts)
             )
         assert devs[0] > devs[1] > devs[2]
 
@@ -163,6 +169,40 @@ class TestDiscreteEmbedding:
             assert np.any(ref > emb.truncation_tol) and np.any(ref == 0.0)
             assert np.max(np.abs(batch - ref)) <= 1e-15
             assert np.array_equal(batch, single)
+
+    @staticmethod
+    def _window_outcome(check, emb, thetas):
+        try:
+            check(emb, thetas)
+        except TruncationError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("tol", [1e-3, 0.4])
+    @pytest.mark.parametrize("samples", [5, 40, 400])
+    def test_check_window_matches_exact_deficits(self, gauss1, gauss2, samples, tol):
+        # coarse lattices (step >= sigma sqrt(pi)) leave the bound nothing to clear
+        offsets = np.concatenate([np.linspace(-2.0, 7.0, 37), [0.0, 1e-12, -1e-12]])
+        for kernel, lower, upper in ((gauss1, [-4.0], [6.0]), (gauss2, [-4.0, -3.0], [6.0, 5.0])):
+            emb = DiscreteEmbedding(kernel, lower, upper, samples, truncation_tol=tol)
+            lo, hi = emb.lower, emb.upper
+            coords = np.concatenate([lo[0] + offsets, hi[0] - offsets])
+            mid = 0.5 * (lo + hi)
+            thetas = np.tile(mid, (2 * coords.size, 1))
+            thetas[: coords.size, 0] = coords
+            thetas[coords.size :, -1] = np.concatenate([lo[-1] + offsets, hi[-1] - offsets])
+            bounds = emb._deficit_bounds(thetas)
+            assert np.all(bounds >= emb.truncation_deficits(thetas))
+            outcomes = [
+                self._window_outcome(DiscreteEmbedding.check_window, emb, t) for t in thetas
+            ]
+            want = [self._window_outcome(check_window_exact, emb, t) for t in thetas]
+            assert outcomes == want
+            assert any(o is None for o in want) and any(o is not None for o in want)
+            for rows in (thetas, thetas[::-1], thetas[thetas[:, 0] >= mid[0]]):
+                assert self._window_outcome(
+                    DiscreteEmbedding.check_window, emb, rows
+                ) == self._window_outcome(check_window_exact, emb, rows)
 
     def test_atoms_batch_matches_single(self, gauss2):
         emb = DiscreteEmbedding(gauss2, [-5.0, -5.0], [7.0, 7.0], 64)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tidict.lowrank
+import tidict.taylor
 from tidict import (
     DiscreteEmbedding,
     DomainError,
@@ -11,11 +15,18 @@ from tidict import (
     ParamBox,
     RaisedCosineKernel,
     SelectAtomSettings,
+    TaylorApproximation,
     build_gram,
     decompose_grid,
 )
 
-from oracles import embedded_errors, embedded_surrogate_atoms, fine_grid_argmax
+from oracles import (
+    box_contains,
+    embedded_errors,
+    embedded_surrogate_atoms,
+    fine_grid_argmax,
+    gram_inverse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +96,16 @@ class TestCoefficients:
         assert np.all(ld.approx_error(pts) >= 0.0)
 
     def test_dual_coords_invert_gram(self, ld6):
-        coords = ld6.gram.inverse
+        coords = gram_inverse(ld6.gram)
         assert np.max(np.abs(coords @ ld6.gram.matrix - np.eye(6))) < 1e-10
 
     def test_dual_atom_gram_is_inverse(self, ld6, emb1):
         # materialize the dual atoms in the embedding: their pairwise inner
         # products must reproduce the inverse Gram matrix
         node_atoms = emb1.atoms(ld6.nodes)
-        duals = ld6.gram.inverse @ node_atoms
-        assert np.max(np.abs(duals @ duals.T - ld6.gram.inverse)) < 1e-10
+        inverse = gram_inverse(ld6.gram)
+        duals = inverse @ node_atoms
+        assert np.max(np.abs(duals @ duals.T - inverse)) < 1e-10
 
 
 class TestInnerProducts:
@@ -152,6 +164,55 @@ class TestApproxError:
         assert outside > 0.9  # essentially no approximation power out there
 
 
+    @pytest.mark.parametrize("dim, counts", [(1, (20,)), (2, (2, 3)), (3, (3, 2, 2))])
+    def test_errors_do_not_depend_on_the_block(self, monkeypatch, dim, counts):
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        ld = LowRankDictionary.from_kernel(kernel, NodeGrid([0.0] * dim, [0.5] * dim, counts))
+        thetas = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(23, dim))
+        want = ld.approx_error(thetas)
+        for chunk in (1, 7):
+            monkeypatch.setattr(tidict.lowrank, "_CHUNK", chunk)
+            assert np.array_equal(ld.approx_error(thetas), want)
+        single = [ld.approx_error(t if dim > 1 else t[0]) for t in thetas]
+        assert np.array_equal(single, want)
+
+    def test_cross_term_from_axis_tables(self, rng):
+        # kappa(x_i - y_j) from per-axis tables: bitwise equal to eval in 1-D
+        for dim, nodes in ((1, 20), (2, 6), (3, 12)):
+            kernel = GaussianIsotropicKernel(sigma=0.7, dim=dim)
+            x = rng.uniform(-2.0, 4.0, size=(31, dim))
+            y = rng.integers(0, 3, size=(nodes, dim)) * 0.5
+            got = kernel.cross(x, y)
+            want = kernel.eval((x[:, None, :] - y[None, :, :]).reshape(-1, dim)).reshape(31, nodes)
+            assert got.shape == (31, nodes) and got.flags.c_contiguous
+            if dim == 1:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+
+class TestBoundedMemory:
+    N = 400_000
+    LIMIT = 16 * 2**20
+
+    @staticmethod
+    def _peak(f, pts):
+        tracemalloc.start()
+        try:
+            out = f(pts)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_sweeps_run_in_bounded_memory(self, gauss1):
+        ld = LowRankDictionary.from_kernel(gauss1, NodeGrid([0.0], [1.0], [20]))
+        emb = DiscreteEmbedding(gauss1, [-7.0], [26.0], 256)
+        taylor = TaylorApproximation.build(emb, 9.5, 19)
+        pts = np.linspace(0.0, 19.0, self.N)
+        assert self._peak(ld.approx_error, pts) < self.LIMIT
+        assert self._peak(taylor.errors, pts) < self.LIMIT
+
+
 class TestSelectAtom:
     def test_node_target_recovers_node(self, ld6):
         box = ParamBox([0.0], [5.0])
@@ -191,7 +252,7 @@ class TestSelectAtom:
         box = ParamBox([1.3], [1.7])
         for _ in range(10):
             theta, _ = ld6.select_atom(rng.normal(size=6), box)
-            assert box.contains(theta, atol=1e-12)
+            assert box_contains(box, theta, atol=1e-12)
 
     def test_constant_surrogate_returns_lower_corner(self, gauss1):
         grid = NodeGrid([0.0], [1.0], [1])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import feature_dim
 from tidict import (
     DomainError,
     GaussianIsotropicKernel,
@@ -139,8 +140,10 @@ class TestCross:
 
 class TestFeatureMap:
     def test_dimension_follows_parity(self):
-        assert make_odd().feature_dim() == 5
-        assert make_even_2d().feature_dim() == 6
+        assert feature_dim(make_odd()) == 5
+        assert feature_dim(make_even_2d()) == 6
+        assert make_odd().feature_map(0.3).shape == (5,)
+        assert make_even_2d().feature_map([0.3, 0.1]).shape == (6,)
 
     def test_inner_products_reproduce_kernel(self, rng):
         # positive semidefiniteness certificate: finite feature vectors
@@ -149,7 +152,7 @@ class TestFeatureMap:
             a = rng.normal(size=(100, rc.dim))
             b = rng.normal(size=(100, rc.dim))
             fa, fb = rc.feature_map(a), rc.feature_map(b)
-            assert fa.shape == (100, rc.feature_dim())
+            assert fa.shape == (100, feature_dim(rc))
             got = np.sum(fa * fb, axis=1)
             assert np.max(np.abs(got - rc.eval(a - b))) < 1e-12
 

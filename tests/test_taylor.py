@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
+import tidict.taylor
 from oracles import (
     sampled_axis_derivatives,
     sampled_taylor_basis,
     sampled_taylor_errors,
+    taylor_error,
 )
 from tidict import (
     DiscreteEmbedding,
@@ -130,7 +132,7 @@ class TestApproximation:
     def test_exact_at_center(self, emb2):
         center = np.array([0.1, 0.4])
         taylor = TaylorApproximation.build(emb2, center, 2)
-        assert taylor.error(center) < 1e-8
+        assert taylor_error(taylor, center) < 1e-8
 
     def test_monomials_at_center(self, emb2):
         taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
@@ -141,16 +143,33 @@ class TestApproximation:
         # a second-order expansion has cubic local error
         taylor = TaylorApproximation.build(emb1, 0.0, 2)
         r = 0.05
-        e1 = taylor.error(r)
-        e2 = taylor.error(2 * r)
+        e1 = taylor_error(taylor, r)
+        e2 = taylor_error(taylor, 2 * r)
         assert e2 / e1 == pytest.approx(8.0, rel=0.15)
 
-    def test_errors_batch_matches_scalar(self, emb2, rng):
+    def test_errors_batch_matches_scalar(self, emb2, rng, monkeypatch):
+        monkeypatch.setattr(tidict.taylor, "_CHUNK", 3)
         taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
         thetas = rng.uniform(-0.5, 0.5, size=(7, 2))
-        batch = taylor.errors(thetas, chunk=3)
-        single = np.array([taylor.error(t) for t in thetas])
+        batch = taylor.errors(thetas)
+        single = np.array([taylor_error(taylor, t) for t in thetas])
         assert np.max(np.abs(batch - single)) < 1e-14
+
+    def test_errors_do_not_depend_on_the_block(self, emb2, gauss1, monkeypatch):
+        emb1 = DiscreteEmbedding(gauss1, [-6.5], [16.0], 256)
+        cases = (
+            (TaylorApproximation.build(emb1, 4.75, 19), np.linspace(0.0, 9.5, 23)),
+            (
+                TaylorApproximation.build(emb2, [0.0, 0.0], 2),
+                np.random.default_rng(5).uniform(-0.5, 0.5, size=(23, 2)),
+            ),
+        )
+        for taylor, thetas in cases:
+            want = taylor.errors(thetas)
+            for chunk in (1, 7):
+                monkeypatch.setattr(tidict.taylor, "_CHUNK", chunk)
+                assert np.array_equal(taylor.errors(thetas), want)
+            monkeypatch.undo()
 
     def test_error_grows_with_distance(self, emb1):
         taylor = TaylorApproximation.build(emb1, 0.0, 2)
@@ -159,7 +178,7 @@ class TestApproximation:
 
     def test_exactly_zero_at_center(self, emb1):
         taylor = TaylorApproximation.build(emb1, 0.7, 19)
-        assert taylor.error(0.7) == 0.0
+        assert taylor_error(taylor, 0.7) == 0.0
 
     def test_matches_sampled_errors_2d(self, emb2, rng):
         center = np.array([0.5, 1.0])
@@ -183,7 +202,7 @@ class TestApproximation:
         with pytest.raises(TruncationError, match=r"theta=\[7\.9\]"):
             taylor.errors([0.0, 1.0, 7.9, 8.5])
         with pytest.raises(TruncationError):
-            taylor.error(7.9)
+            taylor_error(taylor, 7.9)
 
     def test_errors_sample_no_atoms(self, emb2, monkeypatch):
         def fail(*args, **kwargs):
