@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -126,13 +127,15 @@ def cmd_errormap(cfg: ExperimentConfig, out: Path, args) -> int:
 def cmd_compare_taylor(cfg: ExperimentConfig, out: Path, args) -> int:
     """Compare the interpolating construction against the polynomial baseline."""
     ld = _build_dictionary(cfg)
-    taylor = TaylorApproximation.build(cfg.embedding, cfg.taylor_center, cfg.taylor_order)
-    if taylor.rank != ld.rank:
+    # checked before the build, whose derivative Gram matrix has rank**2 entries
+    taylor_rank = math.comb(cfg.taylor_order + cfg.kernel.dim, cfg.kernel.dim)
+    if taylor_rank != ld.rank:
         raise ConfigError(
             f"rank mismatch: node grid gives rank {ld.rank} but a degree-"
             f"{cfg.taylor_order} expansion in {cfg.kernel.dim} parameter(s) has rank "
-            f"{taylor.rank}; adjust grid.counts or taylor.order"
+            f"{taylor_rank}; adjust grid.counts or taylor.order"
         )
+    taylor = TaylorApproximation.build(cfg.embedding, cfg.taylor_center, cfg.taylor_order)
     pts = cfg.evaluation.grid(cfg.resolution)
     err_p = ld.approx_error(pts)
     err_t = taylor.errors(pts)

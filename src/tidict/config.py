@@ -5,7 +5,8 @@ the node grid, the evaluation region, the discretization window for
 baselines, solver knobs and tolerances.  The file is validated against the
 JSON schema shipped in ``tidict/schemas/config.schema.json`` before any
 object is built; structural problems raise :class:`ConfigError` carrying
-the offending path.
+the offending path.  The check implements the draft 2020-12 keywords that
+schema uses, and nothing else: a schema with any other keyword is refused.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, TidictError, finite_number
@@ -71,16 +70,130 @@ class ExperimentConfig:
 
 SCHEMA_FILE = "schemas/config.schema.json"
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    # draft 2020-12: 2.0 is an integer, and true is neither an integer nor a number
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+# the keywords _violations checks, plus the annotations it skips
+_KEYWORDS = frozenset({
+    "$schema", "$id", "title", "$defs", "$ref", "type", "const", "required",
+    "properties", "additionalProperties", "anyOf", "items", "minItems",
+    "minimum", "exclusiveMinimum",
+})
+
+
+def _is_type(value, types) -> bool:
+    return any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types))
+
+
+def _check_keywords(schema: dict) -> None:
+    """Refuse a schema that uses a keyword :func:`_violations` does not implement."""
+    for key, arg in schema.items():
+        if key not in _KEYWORDS or (key == "additionalProperties" and arg is not False):
+            raise NotImplementedError(f"config schema keyword {key!r} is not implemented")
+        if key in ("properties", "$defs"):
+            subs = arg.values()
+        else:
+            subs = arg if key == "anyOf" else [arg] if key == "items" else []
+        for sub in subs:
+            _check_keywords(sub)
+
 
 @functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """Validator of the shipped schema, built once per process.
+def _schema() -> dict:
+    """The shipped schema, read and checked for unknown keywords once per process."""
+    schema = json.loads((Path(__file__).parent / SCHEMA_FILE).read_text(encoding="utf-8"))
+    _check_keywords(schema)
+    return schema
 
-    The schema is package data, so it is not checked against the metaschema
-    here; the test suite does that.
+
+def _violations(schema: dict, value, path: tuple = ()) -> list:
+    """Every violation of ``schema`` by ``value``, in the order jsonschema finds them.
+
+    Each is ``(relevance, message, context)``.  ``relevance`` is jsonschema's
+    sort key ``(-depth, path, wrong type)``, where ``path`` holds the property
+    names and array indices from the root, and ``context`` holds an anyOf's
+    branch violations.  jsonschema's key also ranks anyOf below other
+    keywords on the same value; that never decides here, because no
+    subschema of the shipped schema puts another keyword beside an anyOf.
     """
-    text = resources.files(__package__).joinpath(SCHEMA_FILE).read_text(encoding="utf-8")
-    return jsonschema.Draft202012Validator(json.loads(text))
+    out = []
+
+    def fail(message, context=()):
+        wrong_type = not ("type" in schema and _is_type(value, schema["type"]))
+        out.append(((-len(path), path, wrong_type), message, context))
+
+    is_number = _TYPES["number"](value)
+    for key, arg in schema.items():
+        if key == "$ref":  # the schema refers only to "#/$defs/<name>"
+            out += _violations(_schema()["$defs"][arg.removeprefix("#/$defs/")], value, path)
+        elif key == "type" and not _is_type(value, arg):
+            types = ", ".join(map(repr, [arg] if isinstance(arg, str) else arg))
+            fail(f"{value!r} is not of type {types}")
+        elif key == "const" and value != arg:  # the schema's one const is a string
+            fail(f"{arg!r} was expected")
+        elif key == "minimum" and is_number and value < arg:
+            fail(f"{value!r} is less than the minimum of {arg!r}")
+        elif key == "exclusiveMinimum" and is_number and value <= arg:
+            fail(f"{value!r} is less than or equal to the minimum of {arg!r}")
+        elif key == "anyOf":
+            context = []
+            for sub in arg:
+                errs = _violations(sub, value, path)
+                if not errs:
+                    break
+                context += errs
+            else:
+                fail(f"{value!r} is not valid under any of the given schemas", context)
+        elif isinstance(value, list):
+            if key == "minItems" and len(value) < arg:
+                fail(f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+            elif key == "items":
+                for i, item in enumerate(value):
+                    out += _violations(arg, item, path + (i,))
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in arg:
+                    if name not in value:
+                        fail(f"{name!r} is a required property")
+            elif key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        out += _violations(sub, value[name], path + (name,))
+            elif key == "additionalProperties":
+                extras = sorted(set(value) - set(schema.get("properties", {})))
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    fail(f"Additional properties are not allowed ({names} {verb} unexpected)")
+    return out
+
+
+def _schema_error(raw) -> tuple[str, str] | None:
+    """JSON path and message of the violation jsonschema's ``best_match`` reports.
+
+    The most relevant violation wins: the shallowest, then the one with the
+    greatest path, then one on a value of the wrong type.  An anyOf descends
+    to its deepest branch violation, unless the two most specific tie.
+    ``None`` when ``raw`` satisfies the schema.
+    """
+    best = max(_violations(_schema(), raw), key=lambda v: v[0], default=None)
+    while best is not None and best[2]:
+        first, *second = sorted(best[2], key=lambda v: v[0])[:2]
+        if second and first[0] == second[0][0]:
+            break
+        best = first
+    if best is None:
+        return None
+    # the keys on a path are property names of the schema, all plain identifiers
+    path = best[0][1]
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path), best[1]
 
 
 def _overrides(cls, section: dict) -> dict:
@@ -138,11 +251,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    error = _schema_error(raw)
     if error is not None:
-        raise ConfigError(
-            f"config file {path} violates the schema at {error.json_path}: {error.message}"
-        ) from error
+        raise ConfigError(f"config file {path} violates the schema at {error[0]}: {error[1]}")
 
     try:
         return _resolve(raw)

@@ -135,6 +135,8 @@ class GramSystem:
             raise DomainError("node count does not match Gram size")
         self.matrix = matrix
         self.nodes = np.asarray(nodes, dtype=float)
+        if not np.all(np.isfinite(matrix)):
+            raise IllConditionedError("Gram matrix has non-finite entries")
         self.condition_number = float(np.linalg.cond(matrix))
         if not math.isfinite(self.condition_number) or (
             self.condition_number > condition_limit

@@ -164,6 +164,9 @@ class GaussianIsotropicKernel(TIKernel):
         sigma = float(sigma)
         if not (sigma > 0.0) or not math.isfinite(sigma):
             raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        scale = 4.0 * sigma * sigma
+        if scale == 0.0 or not math.isfinite(scale):
+            raise DomainError(f"sigma {sigma} is out of range: 4 sigma^2 = {scale}")
         self.sigma = sigma
 
     def _eval_batch(self, deltas: np.ndarray) -> np.ndarray:

@@ -56,6 +56,16 @@ class SelectAtomSettings:
     tie_tol: float = 1e-12
 
 
+def _paired(rows: np.ndarray) -> np.ndarray:
+    """``rows``, or a lone row twice.
+
+    numpy hands a lone row to the BLAS and LAPACK vector routines, whose
+    sums differ from the matrix routines'; a pair keeps a row's bits those
+    of a larger block.
+    """
+    return rows if rows.shape[0] != 1 else np.vstack([rows, rows])
+
+
 class LowRankDictionary:
     """Rank-``L`` interpolating approximation of an atom family.
 
@@ -150,9 +160,9 @@ class LowRankDictionary:
         b, single_b = as_param_array(theta_prime, self.dim)
         if a.shape[0] != b.shape[0]:
             raise DomainError("theta and theta_prime stacks must have equal length")
-        c = self.coefficients(a)
-        cp = self.coefficients(b)
-        vals = np.sum(c * self.gram.solve(cp.T).T, axis=1)
+        c = self.coefficients(_paired(a))
+        cp = self.coefficients(_paired(b))
+        vals = np.sum(c * self.gram.solve(cp.T).T, axis=1)[: a.shape[0]]
         return float(vals[0]) if single_a and single_b else vals
 
     def approx_error(self, theta):
@@ -170,10 +180,7 @@ class LowRankDictionary:
         err = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _CHUNK):
             block = pts[start : start + _CHUNK]
-            # numpy hands a lone row to the BLAS and LAPACK vector routines,
-            # whose sums differ from the matrix routines'; a pair keeps a
-            # point's bits those of a larger block
-            rows = block if block.shape[0] > 1 else np.vstack([block, block])
+            rows = _paired(block)
             c = self.coefficients(rows)
             k = self.kernel.cross(rows, self.nodes)
             solved = self.gram.solve(c.T).T

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,9 @@ import tidict
 import tidict.cli
 from oracles import savetxt_csv
 from tidict.cli import main
+
+
+SUBCOMMANDS = ("decompose", "errormap", "compare-taylor", "select-atom", "validate")
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -139,6 +143,17 @@ class TestCompareTaylor:
         cfg = write_config(tmp_path, payload)
         assert main(["compare-taylor", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "rank mismatch" in capsys.readouterr().err
+
+    def test_rank_mismatch_is_checked_before_the_build(self, tmp_path, capsys):
+        # a degree-3000 expansion in two parameters has rank 4.5e6: building
+        # its derivative Gram matrix would need hundreds of terabytes
+        cfg = write_config(tmp_path, config_2d(taylor={"order": 3000}))
+        start = time.perf_counter()
+        assert main(["compare-taylor", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "rank mismatch" in err
 
 
 class TestSelectAtom:
@@ -371,10 +386,21 @@ class TestErrorPaths:
     def test_no_subcommand_exits_1(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_extreme_sigma_exits_1(self, tmp_path, capsys, sigma):
+        # both pass the schema; 4 sigma^2 underflows to 0 or overflows
+        cfg = write_config(tmp_path, config_2d(kernel={"kernel": "gaussian", "sigma": sigma, "dim": 2}))
+        for sub in SUBCOMMANDS:
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 1, sub
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and "sigma" in err
+
 
 class TestRuntimeDependencies:
     def test_subcommands_do_not_import_scipy(self, tmp_path):
-        # scipy is a test-only dependency: the CLI must run on numpy alone
+        # scipy and jsonschema are test-only dependencies: the CLI must run on
+        # numpy alone
         payload = config_2d(evaluation={"resolution": 5}, taylor={"order": 2})
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
@@ -382,9 +408,10 @@ class TestRuntimeDependencies:
             f"""
             import sys
             from tidict.cli import main
-            for sub in ("decompose", "compare-taylor", "select-atom"):
+            for sub in {SUBCOMMANDS!r}:
                 assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0, sub
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] in ("scipy", "jsonschema", "referencing")))
             """
         )
         src = str(Path(tidict.__file__).resolve().parents[1])

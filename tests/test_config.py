@@ -1,5 +1,10 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -151,18 +156,248 @@ class TestSchema:
         schema = json.loads(schema_file.read_text(encoding="utf-8"))
         jsonschema.Draft202012Validator.check_schema(schema)
 
-    def test_load_config_does_not_check_the_schema(self, tmp_path, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("checked the shipped schema against the metaschema")
+    def test_every_schema_keyword_is_implemented(self):
+        schema_file = resources.files("tidict").joinpath(tidict.config.SCHEMA_FILE)
+        used = set()
 
-        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", fail)
-        tidict.config._validator.cache_clear()
-        try:
-            path = write_config(tmp_path, MINIMAL)
-            load_config(path)
-            load_config(path)
-        finally:
-            tidict.config._validator.cache_clear()
+        def collect(node):
+            used.update(node)
+            for key in ("properties", "$defs"):
+                for sub in node.get(key, {}).values():
+                    collect(sub)
+            for sub in node.get("anyOf", []) + ([node["items"]] if "items" in node else []):
+                collect(sub)
+
+        collect(json.loads(schema_file.read_text(encoding="utf-8")))
+        assert used <= tidict.config._KEYWORDS
+        assert tidict.config._KEYWORDS - used == set()
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"properties": {"a": {"pattern": "^x"}}},
+            {"anyOf": [{"type": "string"}, {"maxItems": 2}]},
+            {"items": {"oneOf": []}},
+            {"$defs": {"a": {"format": "email"}}},
+            {"additionalProperties": {"type": "string"}},
+        ],
+        ids=["in-properties", "in-anyOf", "in-items", "in-defs", "additionalProperties-schema"],
+    )
+    def test_unimplemented_keyword_is_refused(self, schema):
+        with pytest.raises(NotImplementedError, match="not implemented"):
+            tidict.config._check_keywords(schema)
+
+    def test_load_config_loads_no_jsonschema(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL)
+        bad = write_config(tmp_path, dict(MINIMAL, extra=1), name="bad.json")
+        script = (
+            "import sys\n"
+            "from tidict import ConfigError, load_config\n"
+            f"load_config({str(path)!r})\n"
+            "try:\n"
+            f"    load_config({str(bad)!r})\n"
+            "except ConfigError:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('jsonschema', 'referencing')))\n"
+        )
+        src = str(Path(tidict.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# every field set, with vectors
+FULL = {
+    "seed": 42,
+    "out_dir": "results",
+    "kernel": {"kernel": "gaussian", "sigma": 0.5, "dim": 2},
+    "grid": {"origin": [0.0, 1.0], "spacing": [0.5, 1.0], "counts": [2, 3]},
+    "evaluation": {"lower": [0.0, 0.0], "upper": [1.0, 4.0], "resolution": [20, 40]},
+    "embedding": {
+        "lower": [-4.0, -4.0],
+        "upper": [5.0, 8.0],
+        "samples_per_axis": [128, 64],
+        "truncation_tol": 1e-2,
+    },
+    "taylor": {"order": 3, "center": [0.5, 2.0]},
+    "select_atom": {
+        "theta_true": [0.3, 0.7],
+        "snr_db": 20.0,
+        "oracle_per_axis": 101,
+        "coarse_per_axis": 16,
+        "num_starts": 4,
+        "max_iter": 30,
+        "grad_tol": 1e-9,
+        "search": {"lower": [0.0, 0.0], "upper": [1.0, 2.0]},
+    },
+    "tolerances": {
+        "residual": 1e-9,
+        "node_interpolation": 1e-7,
+        "kernel_match": 1e-10,
+        "unit_norm": 1e-10,
+        "psd_margin": 1e-10,
+        "rank_svals": 1e-8,
+        "condition_limit": 1e10,
+    },
+    "validation": {"num_pairs": 500},
+}
+
+# values tried at every property: wrong types, bools, null, values at and
+# below every minimum and exclusiveMinimum, empty arrays, bad array items, a
+# const mismatch, and integer-valued floats
+PROBES = [
+    "x", "laplacian", {}, None, True, -1, 0, 1, 0.0, 2.0, 2.5,
+    [], [1.0, "a"], [1, 2.5], [2.0, 3.0], [True], [None, "a"],
+]
+
+
+def _objects(schema, value, path=()):
+    """(path, subschema) of every object the schema describes that ``value`` holds."""
+    if "$ref" in schema:
+        schema = tidict.config._schema()["$defs"][schema["$ref"].split("/")[-1]]
+    if "properties" in schema and isinstance(value, dict):
+        yield path, schema
+        for name, sub in schema["properties"].items():
+            if name in value:
+                yield from _objects(sub, value[name], path + (name,))
+
+
+DROP = object()
+
+
+def _edit(doc, path, value=DROP):
+    """A copy of ``doc`` with ``path`` set to ``value``, or dropped.
+
+    The copy is unchanged where the path runs through a value that is not
+    an object.
+    """
+    out = json.loads(json.dumps(doc))
+    node = out
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        if value is DROP:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    return out
+
+
+@functools.cache
+def edits():
+    """One property probed, one required key dropped, or one unknown key added, as (path, value)."""
+    out = []
+    for path, schema in _objects(tidict.config._schema(), FULL):
+        for name in schema["properties"]:
+            out += [(path + (name,), probe) for probe in PROBES]
+        out += [(path + (name,), DROP) for name in schema.get("required", [])]
+        out += [(path + ("bogus",), 1), (path + ("zz",), 2)]
+    return tuple(out)
+
+
+VALID = [
+    FULL,
+    MINIMAL,
+    dict(MINIMAL, seed=3.0, grid={"origin": 0, "spacing": 1, "counts": 6.0}),
+    _edit(FULL, ("grid", "counts"), [2.0, 3.0]),
+    _edit(FULL, ("select_atom", "snr_db"), None),
+    _edit(FULL, ("evaluation",), {"lower": 0, "upper": 1.0, "resolution": 20}),
+    _edit(FULL, ("embedding",), {}),
+]
+
+
+@functools.cache
+def validator():
+    schema_file = resources.files("tidict").joinpath(tidict.config.SCHEMA_FILE)
+    return jsonschema.Draft202012Validator(json.loads(schema_file.read_text(encoding="utf-8")))
+
+
+def best_match(errors):
+    """JSON path and message of jsonschema's best match, as the walker reports them."""
+    best = jsonschema.exceptions.best_match(errors)
+    return None if best is None else (best.json_path, best.message)
+
+
+def jsonschema_error(doc):
+    return best_match(validator().iter_errors(doc))
+
+
+def walker_path(doc):
+    error = tidict.config._schema_error(doc)
+    return None if error is None else error[0]
+
+
+class TestSchemaWalker:
+    """The schema walker against jsonschema's Draft202012Validator and best_match.
+
+    Messages are compared too: the walker words them as jsonschema 4.26 does.
+    """
+
+    @pytest.mark.parametrize("doc", VALID, ids=range(len(VALID)))
+    def test_accepts_what_jsonschema_accepts(self, doc):
+        assert jsonschema_error(doc) is None
+        assert tidict.config._schema_error(doc) is None
+
+    def test_single_violations(self):
+        docs = [_edit(FULL, *e) for e in edits()]
+        errors = [list(validator().iter_errors(d)) for d in docs]
+        want = [best_match(e) for e in errors]
+        assert [tidict.config._schema_error(d) for d in docs] == want
+        paths = {w and w[0] for w in want}
+        assert None in paths and "$" in paths and "$.grid.origin[1]" in paths
+        # every kind of violation the schema admits occurs
+        flat = [e for errs in errors for e in errs]
+        assert {e.validator for e in flat} == {
+            "type", "const", "required", "additionalProperties", "anyOf", "minimum",
+            "exclusiveMinimum",
+        }
+        assert {c.validator for e in flat for c in e.context} == {"type", "minItems"}
+
+    def test_several_violations(self):
+        rng = np.random.default_rng(7)
+        docs = []
+        for k in (2, 3, 5):
+            for _ in range(100):
+                doc = FULL
+                for i in rng.choice(len(edits()), size=k, replace=False):
+                    doc = _edit(doc, *edits()[i])
+                docs.append(doc)
+        want = [jsonschema_error(d) for d in docs]
+        assert sum(w is not None for w in want) > 250
+        assert [tidict.config._schema_error(d) for d in docs] == want
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (_edit(FULL, ("grid", "origin"), [1, "a"]), "$.grid.origin[1]"),
+            (_edit(FULL, ("grid", "origin"), "x"), "$.grid.origin"),
+            (_edit(_edit(FULL, ("kernel", "sigma"), -1.0), ("extra",), 1), "$"),
+            (_edit(_edit(FULL, ("kernel", "sigma"), -1.0), ("grid", "counts"), 1.5), "$.kernel.sigma"),
+        ],
+        ids=["anyOf-item", "anyOf-type", "shallowest-wins", "greatest-path-wins"],
+    )
+    def test_reported_paths(self, doc, path):
+        assert walker_path(doc) == path
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(MINIMAL, extra=1), "'extra' was unexpected"),
+            (dict(MINIMAL, zz=1, extra=1), "'extra', 'zz' were unexpected"),
+            (dict(MINIMAL, kernel={"kernel": "laplacian", "sigma": 1.0, "dim": 1}), "'gaussian' was expected"),
+            (dict(MINIMAL, seed=True), "True is not of type 'integer'"),
+            (dict(MINIMAL, seed=-1), "-1 is less than the minimum of 0"),
+            (dict(MINIMAL, grid={"origin": 0.0, "spacing": [], "counts": 6}), "[] should be non-empty"),
+            ({"kernel": MINIMAL["kernel"]}, "'grid' is a required property"),
+        ],
+        ids=["additional", "two-additional", "const", "type", "minimum", "minItems", "required"],
+    )
+    def test_messages(self, doc, message):
+        assert message in tidict.config._schema_error(doc)[1]
 
 
 class TestRejections:

@@ -5,6 +5,7 @@ from oracles import gram_inverse
 from tidict import (
     DomainError,
     GaussianIsotropicKernel,
+    GramSystem,
     IllConditionedError,
     NodeGrid,
     NoValidDecomposition,
@@ -83,6 +84,13 @@ class TestBuildGram:
     def test_dim_mismatch(self, gauss2):
         with pytest.raises(DomainError):
             build_gram(gauss2, NodeGrid([0.0], [1.0], [4]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_ill_conditioned(self, bad):
+        matrix = np.eye(3)
+        matrix[0, 1] = matrix[1, 0] = bad
+        with pytest.raises(IllConditionedError, match="non-finite"):
+            GramSystem(matrix, np.zeros((3, 1)))
 
 
 class TestDecompose1D:

@@ -106,6 +106,11 @@ class TestGaussianKernel:
             GaussianIsotropicKernel(sigma=0.0, dim=1)
         with pytest.raises(DomainError):
             GaussianIsotropicKernel(sigma=-1.0, dim=2)
+        # 4 sigma^2 underflows to 0 or overflows
+        for sigma in (1e-300, 1e300):
+            with pytest.raises(DomainError, match="out of range"):
+                GaussianIsotropicKernel(sigma=sigma, dim=1)
+        assert GaussianIsotropicKernel(sigma=1e-160).sigma == 1e-160
 
 
 class TestDiscreteEmbedding:

@@ -141,6 +141,19 @@ class TestInnerProducts:
         with pytest.raises(DomainError):
             ld6.approx_inner(np.zeros((3, 1)), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("dim, counts", [(1, (20,)), (1, (6,)), (2, (2, 3)), (2, (3, 4))])
+    def test_inner_of_a_lone_pair_equals_the_batch(self, dim, counts):
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        ld = LowRankDictionary.from_kernel(kernel, NodeGrid([0.0] * dim, [0.5] * dim, counts))
+        assert ld.rc.num_terms <= 10
+        a, b = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(2, 200, dim))
+        want = ld.approx_inner(a, b)
+        # a lone pair as scalars or vectors, and as a one-row stack
+        single = [ld.approx_inner(x if dim > 1 else x[0], y if dim > 1 else y[0]) for x, y in zip(a, b)]
+        stacked = [ld.approx_inner(a[i : i + 1], b[i : i + 1])[0] for i in range(a.shape[0])]
+        assert np.array_equal(single, want)
+        assert np.array_equal(stacked, want)
+
 
 class TestApproxError:
     def test_zero_at_nodes(self, ld6, ld23):
