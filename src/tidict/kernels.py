@@ -165,7 +165,7 @@ class GaussianIsotropicKernel(TIKernel):
         if not (sigma > 0.0) or not math.isfinite(sigma):
             raise DomainError(f"sigma must be positive and finite, got {sigma}")
         scale = 4.0 * sigma * sigma
-        if scale == 0.0 or not math.isfinite(scale):
+        if scale == 0.0 or not math.isfinite(scale) or not math.isfinite(1.0 / scale):
             raise DomainError(f"sigma {sigma} is out of range: 4 sigma^2 = {scale}")
         self.sigma = sigma
 
@@ -362,7 +362,11 @@ class DiscreteEmbedding:
         return self.atoms(self._single(theta, "theta")[None, :])[0]
 
     def atoms(self, thetas) -> np.ndarray:
-        """Stack of unit-norm atoms, shape ``(n, size)``: outer products of axis profiles."""
+        """Stack of unit-norm atoms, shape ``(n, size)``: outer products of axis profiles.
+
+        Raises :class:`DomainError` for an atom with no mass on the lattice,
+        whose every sample underflows.
+        """
         pts, _ = as_param_array(thetas, self.dim)
         self.check_window(pts)
         n = pts.shape[0]
@@ -371,6 +375,12 @@ class DiscreteEmbedding:
             x = self.axes[a] - pts[:, a, None]
             profile = np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
             out = (out[:, :, None] * profile[:, None, :]).reshape(n, -1)
-        for row in out:
-            row /= np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent
+        for theta, row in zip(pts, out):
+            norm = np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent
+            if norm == 0.0:
+                raise DomainError(
+                    f"atom at theta={theta.tolist()} has no mass on the sampling "
+                    f"lattice: sigma {self.kernel.sigma} is too small for its step"
+                )
+            row /= norm
         return out

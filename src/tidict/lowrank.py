@@ -229,6 +229,8 @@ class LowRankDictionary:
         p = np.asarray(projections, dtype=float)
         if p.shape != (self.rank,):
             raise DomainError(f"projections must have shape ({self.rank},)")
+        if not np.all(np.isfinite(p)):
+            raise DomainError("projections must be finite")
         const, alpha, beta = self._trig_coeffs(p)
         freqs = self.rc.freqs
 

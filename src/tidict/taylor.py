@@ -97,7 +97,8 @@ class TaylorApproximation:
         """Derivative Gram matrix of all multi-indices up to ``order`` at ``center``.
 
         Raises :class:`TruncationError` when the atom at the center loses
-        more than the embedding's tolerated norm fraction to the window.
+        more than the embedding's tolerated norm fraction to the window, and
+        :class:`DomainError` when the derivative Gram matrix is not finite.
         """
         c, single = as_param_array(center, embedding.dim, name="center")
         if not single and c.shape[0] != 1:
@@ -117,13 +118,19 @@ class TaylorApproximation:
         #                          = (-1)^j (2 sigma)^-(j+k) H_{j+k}(0)
         j = np.arange(order + 1)
         s = j[:, None] + j[None, :]
-        axis_gram = (
-            (-1.0) ** j[:, None]
-            * (2.0 * embedding.kernel.sigma) ** -s.astype(float)
-            * _hermite(0.0, 2 * order)[s]
-        )
         idx = np.array(alphas)
-        gram = np.prod(axis_gram[idx[:, None, :], idx[None, :, :]], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            axis_gram = (
+                (-1.0) ** j[:, None]
+                * (2.0 * embedding.kernel.sigma) ** -s.astype(float)
+                * _hermite(0.0, 2 * order)[s]
+            )
+            gram = np.prod(axis_gram[idx[:, None, :], idx[None, :, :]], axis=-1)
+        if not np.all(np.isfinite(gram)):
+            raise DomainError(
+                f"the derivative Gram matrix of order {order} overflows at sigma "
+                f"{embedding.kernel.sigma}"
+            )
         return cls(
             embedding=embedding,
             center=center_vec,
@@ -170,7 +177,8 @@ class TaylorApproximation:
         the number of points beyond the result, and every point's error is
         the same bits whatever batch it comes in.  Raises
         :class:`TruncationError` for the first point whose atom the
-        embedding window cuts off.
+        embedding window cuts off, and :class:`DomainError` when an error
+        is not finite.
         """
         pts, _ = as_param_array(thetas, self.dim)
         two_sigma = 2.0 * self.embedding.kernel.sigma
@@ -179,14 +187,22 @@ class TaylorApproximation:
         for start in range(0, pts.shape[0], _CHUNK):
             block = pts[start : start + _CHUNK]
             self.embedding.check_window(block)
-            x = (block - self.center) / two_sigma
-            # d^n_{theta0} kappa_1(delta) per axis and order, then per index
-            deriv = self._products(
-                scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
-            )
-            mono = self.monomials(block)
-            # einsum, not BLAS: its sums do not depend on the block size
-            quad = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", mono, self.gram), mono)
-            sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
-            out[start : start + block.shape[0]] = np.sqrt(np.maximum(sq, 0.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = (block - self.center) / two_sigma
+                # d^n_{theta0} kappa_1(delta) per axis and order, then per index
+                deriv = self._products(
+                    scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
+                )
+                mono = self.monomials(block)
+                # einsum, not BLAS: its sums do not depend on the block size
+                quad = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", mono, self.gram), mono)
+                sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
+            err = np.sqrt(np.maximum(sq, 0.0))
+            bad = np.flatnonzero(~np.isfinite(err))
+            if bad.size:
+                raise DomainError(
+                    f"the Taylor error at theta={block[bad[0]].tolist()} is not finite "
+                    f"(sigma {self.embedding.kernel.sigma}, order {self.order})"
+                )
+            out[start : start + block.shape[0]] = err
         return out

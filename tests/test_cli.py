@@ -1,15 +1,19 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tidict
+import tidict._csvformat
 import tidict.cli
 from oracles import savetxt_csv
 from tidict.cli import main
@@ -99,11 +103,57 @@ class TestErrormap:
         assert np.max(data[:, 1]) > 1e-3
 
 
+def _neighbours(values, steps=1):
+    """``values`` with their ``steps`` nearest doubles below and above."""
+    out = [values]
+    down = up = values
+    with np.errstate(over="ignore"):  # beyond the largest double is inf
+        for _ in range(steps):
+            down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+            out += [down, up]
+    return np.concatenate(out)
+
+
+@functools.cache
+def _csv_families():
+    """Value families for the CSV writer, each a flat float array."""
+    rng = np.random.default_rng(20)
+    fmt = tidict._csvformat
+    tiny = np.finfo(float).tiny
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    n = rng.integers(10**15, 2**51, size=20_000).astype(float)
+    digits = rng.integers(1, 10 ** rng.integers(1, 18, size=40_000), dtype=np.int64)
+    decades = rng.uniform(fmt._KMIN - 3, fmt._KMAX + 4, size=100_000)
+    return {
+        # every exponent, both signs, NaN payloads
+        "bit_patterns": rng.integers(0, 2**64, size=2**20, dtype=np.uint64).view(float),
+        "specials": np.concatenate([
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny],
+            np.array([1, 2, 2**52 - 1, 2**52, 2**63 + 1], dtype=np.uint64).view(float),
+            _neighbours(np.array([5e-324, 2.2250738585072014e-308, np.finfo(float).max]), 3),
+            rng.integers(1, 2**52, size=2_000, dtype=np.uint64).view(float),
+        ]),
+        "powers_of_ten": np.concatenate([_neighbours(powers, 2), -powers]),
+        # exact 17-digit ties, which % rounds half to even
+        "ties": np.concatenate([n + 0.25, n + 0.75, -(n + 0.25), np.arange(1, 4097) * 2.0**-24]),
+        "table_edges": np.concatenate([
+            _neighbours(np.array([fmt._AMIN, fmt._AMAX, 1e-5, 1e-4, 1e16, 1e17, 1e100]), 5),
+            _neighbours(np.array([1e16 - 1, 1e17 - 8, 1e17 - 16]), 5),
+        ]),
+        # few significant digits: trailing-zero stripping in every format class
+        "short": digits * 10.0 ** rng.integers(-25, 25, size=digits.size),
+        "decades": rng.choice([-1.0, 1.0], decades.size) * rng.uniform(1, 10, decades.size)
+        * 10.0**np.floor(decades),
+    }
+
+
 class TestWriteCsv:
     BLOCK = tidict.cli._CSV_BLOCK
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 4])
-    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize(
+        "rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1]
+    )
     def test_bytes_match_savetxt(self, tmp_path, rows, cols):
         special = [-0.0, 5e-324, 1e300, 3.0, -7.0, 0.0, 0.1, -1e-300]
         values = np.random.default_rng(rows + cols).normal(size=rows * cols)
@@ -113,6 +163,30 @@ class TestWriteCsv:
         tidict.cli._write_csv(tmp_path / "got.csv", header, data)
         savetxt_csv(tmp_path / "want.csv", header, data)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "family",
+        ["bit_patterns", "specials", "powers_of_ten", "ties", "table_edges", "short", "decades"],
+    )
+    def test_value_families_match_savetxt(self, tmp_path, family):
+        values = _csv_families()[family]
+        cols = 4 if values.size % 4 == 0 else 1
+        data = values.reshape(-1, cols)
+        header = [f"c{j}" for j in range(cols)]
+        tidict.cli._write_csv(tmp_path / "got.csv", header, data)
+        savetxt_csv(tmp_path / "want.csv", header, data)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_runs_in_bounded_memory(self, tmp_path):
+        # buffers are per block: the peak does not grow with the row count
+        data = np.random.default_rng(3).normal(size=(400_000, 3))
+        tracemalloc.start()
+        try:
+            tidict.cli._write_csv(tmp_path / "big.csv", ["a", "b", "c"], data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestCompareTaylor:
@@ -396,11 +470,56 @@ class TestErrorPaths:
             assert len(err.splitlines()) == 1
             assert err.startswith("error: ") and "sigma" in err
 
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-100, 1e-20])
+    def test_tiny_sigma_exits_0_with_finite_outputs_or_1(self, tmp_path, capsys, sigma):
+        # 1e-160: 1 / (4 sigma^2) overflows; 1e-100: the Taylor Gram matrix
+        # overflows; 1e-100 and 1e-20: the test atom has no mass on the lattice
+        payload = config_2d(
+            kernel={"kernel": "gaussian", "sigma": sigma, "dim": 2},
+            evaluation={"resolution": 10},
+            taylor={"order": 2},
+            select_atom={"theta_true": [0.37, 0.81], "snr_db": 20.0},
+        )
+        cfg = write_config(tmp_path, payload)
+        codes = {}
+        for sub in SUBCOMMANDS:
+            out = tmp_path / sub
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes[sub] = main([sub, "--config", cfg, "--out", str(out)])
+            err = capsys.readouterr().err
+            if codes[sub] == 1:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), sub
+                continue
+            assert codes[sub] == 0 and err == "", sub
+            for path in out.iterdir():
+                if path.suffix == ".csv":
+                    values = np.loadtxt(path, delimiter=",", skiprows=1)
+                else:
+                    values = np.array(list(_json_numbers(json.loads(path.read_text()))))
+                assert np.all(np.isfinite(values)), (sub, path.name)
+        if sigma == 1e-160:
+            assert set(codes.values()) == {1}
+        else:
+            assert codes["select-atom"] == 1
+            assert codes["compare-taylor"] == (1 if sigma == 1e-100 else 0)
+
+
+def _json_numbers(obj):
+    """Every number in a parsed JSON document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _json_numbers(item)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
 
 class TestRuntimeDependencies:
     def test_subcommands_do_not_import_scipy(self, tmp_path):
         # scipy and jsonschema are test-only dependencies: the CLI must run on
-        # numpy alone
+        # numpy alone; the CSV writer's tables need no fractions or decimal
         payload = config_2d(evaluation={"resolution": 5}, taylor={"order": 2})
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
@@ -410,8 +529,8 @@ class TestRuntimeDependencies:
             from tidict.cli import main
             for sub in {SUBCOMMANDS!r}:
                 assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0, sub
-            print(sorted(m for m in sys.modules
-                         if m.split(".")[0] in ("scipy", "jsonschema", "referencing")))
+            print(sorted(m for m in sys.modules if m.split(".")[0] in
+                         ("scipy", "jsonschema", "referencing", "fractions", "decimal")))
             """
         )
         src = str(Path(tidict.__file__).resolve().parents[1])

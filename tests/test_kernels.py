@@ -106,11 +106,11 @@ class TestGaussianKernel:
             GaussianIsotropicKernel(sigma=0.0, dim=1)
         with pytest.raises(DomainError):
             GaussianIsotropicKernel(sigma=-1.0, dim=2)
-        # 4 sigma^2 underflows to 0 or overflows
-        for sigma in (1e-300, 1e300):
+        # 4 sigma^2 underflows to 0, overflows, or has an overflowing reciprocal
+        for sigma in (1e-300, 1e300, 1e-160):
             with pytest.raises(DomainError, match="out of range"):
                 GaussianIsotropicKernel(sigma=sigma, dim=1)
-        assert GaussianIsotropicKernel(sigma=1e-160).sigma == 1e-160
+        assert GaussianIsotropicKernel(sigma=1e-150).sigma == 1e-150
 
 
 class TestDiscreteEmbedding:
@@ -223,6 +223,12 @@ class TestDiscreteEmbedding:
             thetas = np.random.default_rng(dim).uniform(-1.0, 2.0, size=(5, dim))
             ref = np.array([outer_product_atom(emb, t) for t in thetas])
             assert np.array_equal(emb.atoms(thetas), ref)
+
+    def test_atom_without_mass_raises(self):
+        # every sample of a 1e-20-wide atom between lattice points underflows
+        emb = DiscreteEmbedding(GaussianIsotropicKernel(1e-20, dim=2), [-7.0] * 2, [7.0] * 2, 128)
+        with pytest.raises(DomainError, match="no mass"):
+            emb.atoms(np.array([[0.37, 0.81]]))
 
     def test_window_validation(self, gauss1, gauss2):
         with pytest.raises(DomainError):

@@ -280,6 +280,11 @@ class TestSelectAtom:
             ld6.select_atom(np.zeros(5), ParamBox([0.0], [5.0]))
         with pytest.raises(DomainError):
             ld6.select_atom(np.zeros(6), ParamBox([0.0, 0.0], [1.0, 1.0]))
+        for bad in (np.nan, np.inf):
+            projections = np.zeros(6)
+            projections[2] = bad
+            with pytest.raises(DomainError, match="finite"):
+                ld6.select_atom(projections, ParamBox([0.0], [5.0]))
 
     def test_custom_settings(self, ld6):
         box = ParamBox([0.0], [5.0])

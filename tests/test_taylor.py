@@ -14,6 +14,7 @@ from oracles import (
 from tidict import (
     DiscreteEmbedding,
     DomainError,
+    GaussianIsotropicKernel,
     TaylorApproximation,
     TruncationError,
     multi_indices,
@@ -120,6 +121,20 @@ class TestBuild:
     def test_truncation_guard(self, emb1):
         with pytest.raises(TruncationError):
             TaylorApproximation.build(emb1, 7.9, 2)
+
+    def test_overflowing_gram_or_error_raises(self):
+        def build(sigma):
+            emb = DiscreteEmbedding(GaussianIsotropicKernel(sigma), [-8.0], [8.0], 64)
+            return TaylorApproximation.build(emb, 0.0, 2)
+
+        # (2 sigma)^-4 overflows
+        with pytest.raises(DomainError, match="Gram matrix"):
+            build(1e-100)
+        # the Gram matrix is finite, the error 6 units from the center is not
+        taylor = build(1e-77)
+        assert taylor.errors(np.array([0.0]))[0] == 0.0
+        with pytest.raises(DomainError, match="not finite"):
+            taylor.errors(np.array([0.0, 6.0]))
 
     def test_center_validation(self, emb2):
         with pytest.raises(DomainError):
