@@ -217,7 +217,7 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
         noise *= 10.0 ** (-sel.snr_db / 20.0) / np.linalg.norm(noise)
         signal = signal + noise
     node_atoms = emb.atoms(ld.nodes)
-    projections = ld.gram.solve(node_atoms @ signal)
+    projections = ld.gram.solve_rows(node_atoms @ signal)
     theta_hat, value = ld.select_atom(projections, sel.search, sel.settings)
     theta_star, oracle_value, cell_diag = _oracle_correlation(cfg, signal)
     distance = float(np.linalg.norm(theta_hat - theta_star))
@@ -261,7 +261,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
 
     thetas = cfg.evaluation.sample(rng, 2 * ld.rank)
     coeff = ld.coefficients(thetas)
-    inner = coeff @ ld.gram.solve(coeff.T)
+    inner = ld.gram.solve_rows(coeff) @ coeff.T
     svals = np.linalg.svd(inner, compute_uv=False)
     tail = float(svals[ld.rank]) if svals.shape[0] > ld.rank else 0.0
 

@@ -26,6 +26,8 @@ from .errors import DomainError, TruncationError
 
 # lattice terms summed at once by DiscreteEmbedding.truncation_deficits
 _DEFICIT_CHUNK = 1 << 20
+# fewest rows pad_rows hands to a matrix product
+_MIN_GEMM_ROWS = 8
 
 __all__ = [
     "ParamBox",
@@ -65,6 +67,28 @@ def as_param_array(x, dim: int, name: str = "theta") -> tuple[np.ndarray, bool]:
             )
         return arr, False
     raise DomainError(f"{name}: array of dimension {arr.ndim} is not a parameter stack")
+
+
+def pad_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, with its last row repeated up to ``_MIN_GEMM_ROWS`` rows.
+
+    numpy hands a lone row to the BLAS vector routines, and OpenBLAS may
+    sum a block of a few rows in another order than a larger block: against
+    a transposed 108-column operand, blocks of up to 5 rows did.  From 8
+    rows on, each C-contiguous row got the bits it gets inside any larger
+    block.  Callers pad a block before its matrix products and keep the
+    first ``rows.shape[0]`` rows of the result.
+
+    The bound of 8 was measured on one build only: OpenBLAS 0.3.31
+    (``DYNAMIC_ARCH``) on an AVX-512 Xeon, with one and with two threads.
+    Another BLAS, CPU kernel or thread count may split the rows of a
+    product otherwise, so the padding is not a guarantee that a row's bits
+    do not depend on its block.
+    """
+    short = _MIN_GEMM_ROWS - rows.shape[0]
+    if short <= 0 or rows.shape[0] == 0:
+        return rows
+    return np.concatenate([rows, np.repeat(rows[-1:], short, axis=0)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +195,8 @@ class GaussianIsotropicKernel(TIKernel):
 
     def _eval_batch(self, deltas: np.ndarray) -> np.ndarray:
         sq = np.sum(deltas * deltas, axis=1)
-        return np.exp(-sq / (4.0 * self.sigma**2))
+        with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
+            return np.exp(-sq / (4.0 * self.sigma**2))
 
     def cross(self, x, y) -> np.ndarray:
         """Kernel matrix ``kappa(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
@@ -185,12 +210,21 @@ class GaussianIsotropicKernel(TIKernel):
         """
         xs, _ = as_param_array(x, self.dim)
         ys, _ = as_param_array(y, self.dim)
+        scale = -(4.0 * self.sigma**2)
         out = None
         for a in range(self.dim):
             coords, inverse = np.unique(ys[:, a], return_inverse=True)
-            d = xs[:, a, None] - coords
-            factor = np.take(np.exp(-(d * d) / (4.0 * self.sigma**2)), inverse, axis=1)
-            out = factor if out is None else out * factor
+            factor = xs[:, a, None] - coords
+            np.multiply(factor, factor, out=factor)
+            with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
+                np.divide(factor, scale, out=factor)
+            np.exp(factor, out=factor)
+            if not np.array_equal(inverse, np.arange(ys.shape[0])):  # y not sorted and distinct
+                factor = np.take(factor, inverse, axis=1)
+            if out is None:
+                out = factor
+            else:
+                out *= factor
         return out
 
     def __repr__(self) -> str:
@@ -304,7 +338,8 @@ class DiscreteEmbedding:
                 idx = cut[start : start + rows]
                 k = k0[idx, None] + np.arange(width)
                 x = lo + k * h - t[idx, None]
-                full = np.exp(-(x * x) / (sig * sig))  # squared profile
+                with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
+                    full = np.exp(-(x * x) / (sig * sig))  # squared profile
                 inside = (k >= 0) & (k <= n - 1)
                 axis_ratio[idx] = np.sum(full * inside, axis=1) / np.sum(full, axis=1)
             ratio *= axis_ratio[inverse]
@@ -373,7 +408,8 @@ class DiscreteEmbedding:
         out = np.ones((n, 1))
         for a in range(self.dim):
             x = self.axes[a] - pts[:, a, None]
-            profile = np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
+            with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
+                profile = np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
             out = (out[:, :, None] * profile[:, None, :]).reshape(n, -1)
         for theta, row in zip(pts, out):
             norm = np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent

@@ -12,6 +12,14 @@ approximated atoms are raised-cosine evaluations again, so the
 approximation quality and all downstream computations need kernel values
 only, never explicit atom vectors.  The exact-rank property follows from
 the feature-map factorization of ``rc``.
+
+With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
+error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  A block of points is solved
+as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`: matrix
+products against the eigenvectors of ``G`` that the Gram system computed
+once.  Blocks shorter than 8 rows are padded (:func:`tidict.kernels.pad_rows`),
+so that, with the BLAS build named there, a point's error and inner
+products are the same bits whatever block it comes in.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .gram import (
     decompose_grid,
     verify_decomposition,
 )
-from .kernels import ParamBox, TIKernel, as_param_array
+from .kernels import ParamBox, TIKernel, as_param_array, pad_rows
 from .raised_cosine import RaisedCosineKernel
 
 __all__ = ["LowRankDictionary", "SelectAtomSettings"]
@@ -54,16 +62,6 @@ class SelectAtomSettings:
     max_iter: int = 50
     grad_tol: float = 1e-10
     tie_tol: float = 1e-12
-
-
-def _paired(rows: np.ndarray) -> np.ndarray:
-    """``rows``, or a lone row twice.
-
-    numpy hands a lone row to the BLAS and LAPACK vector routines, whose
-    sums differ from the matrix routines'; a pair keeps a row's bits those
-    of a larger block.
-    """
-    return rows if rows.shape[0] != 1 else np.vstack([rows, rows])
 
 
 class LowRankDictionary:
@@ -140,10 +138,11 @@ class LowRankDictionary:
     def coefficients(self, theta) -> np.ndarray:
         """Interpolation coefficients ``c_l(theta) = rc(theta - theta_l)``.
 
-        Shape ``(L,)`` for a single parameter, ``(n, L)`` for a stack.
+        Shape ``(L,)`` for a single parameter, ``(n, L)`` for a stack.  A
+        row's values do not depend on the stack it comes in.
         """
         pts, single = as_param_array(theta, self.dim)
-        c = self.rc.cross(pts, self.nodes)
+        c = self.rc.cross(pad_rows(pts), self.nodes)[: pts.shape[0]]
         return c[0] if single else c
 
     # ------------------------------------------------------------------
@@ -160,9 +159,9 @@ class LowRankDictionary:
         b, single_b = as_param_array(theta_prime, self.dim)
         if a.shape[0] != b.shape[0]:
             raise DomainError("theta and theta_prime stacks must have equal length")
-        c = self.coefficients(_paired(a))
-        cp = self.coefficients(_paired(b))
-        vals = np.sum(c * self.gram.solve(cp.T).T, axis=1)[: a.shape[0]]
+        c = self.coefficients(pad_rows(a))
+        cp = self.coefficients(pad_rows(b))
+        vals = np.sum(c * self.gram.solve_rows(cp), axis=1)[: a.shape[0]]
         return float(vals[0]) if single_a and single_b else vals
 
     def approx_error(self, theta):
@@ -180,10 +179,10 @@ class LowRankDictionary:
         err = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _CHUNK):
             block = pts[start : start + _CHUNK]
-            rows = _paired(block)
+            rows = pad_rows(block)
             c = self.coefficients(rows)
             k = self.kernel.cross(rows, self.nodes)
-            solved = self.gram.solve(c.T).T
+            solved = self.gram.solve_rows(c)
             approx = np.sum(c * solved, axis=1)
             cross = np.sum(k * solved, axis=1)
             sq = np.clip(1.0 - 2.0 * cross + approx, 0.0, None)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .kernels import DiscreteEmbedding, as_param_array
+from .kernels import DiscreteEmbedding, as_param_array, pad_rows
 
 __all__ = ["multi_indices", "TaylorApproximation"]
 
@@ -151,11 +151,14 @@ class TaylorApproximation:
         """``prod_a tables[:, a, alpha_a]`` for every multi-index, shape ``(n, L)``.
 
         ``tables`` has shape ``(n, dim, order + 1)``: per point and axis,
-        one entry per derivative order.  The result is C-contiguous, so each
-        row is reduced the same way whatever the batch size.
+        one entry per derivative order.  The axes are multiplied one at a
+        time, in axis order, and the result is C-contiguous.
         """
-        factors = tables[:, np.arange(self.dim), np.array(self.alphas)]
-        return np.ascontiguousarray(np.prod(factors, axis=-1))
+        idx = np.array(self.alphas)
+        out = np.take(tables[:, 0], idx[:, 0], axis=1)
+        for a in range(1, self.dim):
+            out *= np.take(tables[:, a], idx[:, a], axis=1)
+        return out
 
     def monomials(self, theta) -> np.ndarray:
         """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index.
@@ -164,9 +167,11 @@ class TaylorApproximation:
         for ``j = 1 .. n``.
         """
         pts, single = as_param_array(theta, self.dim)
-        steps = (pts - self.center)[:, :, None] / np.arange(1, self.order + 1)
-        powers = np.ones(steps.shape[:2] + (self.order + 1,))
-        np.cumprod(steps, axis=-1, out=powers[:, :, 1:])
+        delta = pts - self.center
+        powers = np.empty(pts.shape + (self.order + 1,))
+        powers[:, :, 0] = 1.0
+        for n in range(1, self.order + 1):
+            np.multiply(powers[:, :, n - 1], delta / n, out=powers[:, :, n])
         out = self._products(powers)
         return out[0] if single else out
 
@@ -174,8 +179,10 @@ class TaylorApproximation:
         """Distance between the atom at each point and its Taylor surrogate.
 
         Points are taken ``_CHUNK`` at a time, so memory does not grow with
-        the number of points beyond the result, and every point's error is
-        the same bits whatever batch it comes in.  Raises
+        the number of points beyond the result.  ``m^T H m`` is one matrix
+        product per block, on rows padded by :func:`tidict.kernels.pad_rows`;
+        with the BLAS build named there, every point's error is the same
+        bits whatever batch it comes in.  Raises
         :class:`TruncationError` for the first point whose atom the
         embedding window cuts off, and :class:`DomainError` when an error
         is not finite.
@@ -194,8 +201,9 @@ class TaylorApproximation:
                     scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
                 )
                 mono = self.monomials(block)
-                # einsum, not BLAS: its sums do not depend on the block size
-                quad = np.einsum("ij,ij->i", np.einsum("ij,jk->ik", mono, self.gram), mono)
+                # padded, the product's sums did not depend on the block size (see pad_rows)
+                hm = (pad_rows(mono) @ self.gram)[: block.shape[0]]
+                quad = np.einsum("ij,ij->i", hm, mono)
                 sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
             err = np.sqrt(np.maximum(sq, 0.0))
             bad = np.flatnonzero(~np.isfinite(err))

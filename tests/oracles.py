@@ -64,7 +64,7 @@ def embedded_surrogate_atoms(ld, embedding, thetas):
     """Explicit surrogate atoms in the embedding space, one row per parameter."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     node_atoms = embedding.atoms(ld.nodes)
-    coords = ld.gram.solve(ld.coefficients(thetas).T).T
+    coords = lu_solve(ld.gram.matrix, ld.coefficients(thetas).T).T
     return coords @ node_atoms
 
 
@@ -211,9 +211,23 @@ def sampled_taylor_errors(embedding, center, order, thetas):
     return out
 
 
+def lu_solve(matrix, rhs):
+    """``matrix^-1 rhs`` by LU factorisation with partial pivoting (LAPACK ``gesv``)."""
+    return np.linalg.solve(matrix, rhs)
+
+
+def lu_node_errors(ld):
+    """Approximation errors at the nodes, ``1 - 2 k^T G^-1 c + c^T G^-1 c``, solved by LU."""
+    c = ld.coefficients(ld.nodes)
+    k = ld.kernel.cross(ld.nodes, ld.nodes)
+    solved = lu_solve(ld.gram.matrix, c.T).T
+    sq = 1.0 - 2.0 * np.sum(k * solved, axis=1) + np.sum(c * solved, axis=1)
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
 def gram_inverse(gram):
-    """Explicit inverse of a Gram system's matrix, symmetrized."""
-    inv = gram.solve(np.eye(gram.size))
+    """Explicit inverse of a Gram system's matrix by LU, symmetrized."""
+    inv = lu_solve(gram.matrix, np.eye(gram.size))
     return 0.5 * (inv + inv.T)
 
 

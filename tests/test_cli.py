@@ -504,6 +504,25 @@ class TestErrorPaths:
             assert codes["select-atom"] == 1
             assert codes["compare-taylor"] == (1 if sigma == 1e-100 else 0)
 
+    def test_sigma_just_inside_the_bound_runs_without_warnings(self, tmp_path, capsys):
+        # 4 sigma^2 is finite and nonzero, but |delta|^2 / (4 sigma^2) overflows
+        # to inf for every nonzero displacement, and exp(-inf) is the exact 0
+        payload = config_2d(
+            kernel={"kernel": "gaussian", "sigma": 1.2e-154, "dim": 2},
+            grid={"origin": [0.0, 0.0], "spacing": 1.0, "counts": [2, 5]},
+            evaluation={"resolution": 10},
+        )
+        cfg = write_config(tmp_path, payload)
+        for sub in ("decompose", "errormap", "validate"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 0, sub
+            assert capsys.readouterr().err == "", sub
+        report = json.loads((tmp_path / "out" / "decompose_report.json").read_text())
+        assert report["condition_number"] == 1.0
+        errors = np.loadtxt(tmp_path / "out" / "errormap.csv", delimiter=",", skiprows=1)[:, -1]
+        assert np.all(np.isfinite(errors))
+
 
 def _json_numbers(obj):
     """Every number in a parsed JSON document."""

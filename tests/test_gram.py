@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import gram_inverse
+from oracles import gram_inverse, lu_node_errors, lu_solve
 from tidict import (
     DomainError,
     GaussianIsotropicKernel,
     GramSystem,
     IllConditionedError,
+    LowRankDictionary,
     NodeGrid,
     NoValidDecomposition,
     RaisedCosineKernel,
@@ -91,6 +94,93 @@ class TestBuildGram:
         matrix[0, 1] = matrix[1, 0] = bad
         with pytest.raises(IllConditionedError, match="non-finite"):
             GramSystem(matrix, np.zeros((3, 1)))
+
+
+# (dim, spacing, counts) of the README 2-D grid, the 1-D spacing-0.5 L=20
+# grid near the condition limit, and the 3-D 6x6x6 grid
+BENCH_GRIDS = [(2, 1.0, (2, 3)), (1, 0.5, (20,)), (3, 1.0, (6, 6, 6))]
+COND_1D = (1, 0.5, (20,))
+
+
+def _gram(dim, spacing, counts):
+    kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+    return build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts))
+
+
+def _backward_error(matrix, x, b):
+    """Normwise backward error of each column of ``x`` as a solution of ``matrix x = b``."""
+    residual = np.linalg.norm(b - matrix @ x, axis=0)
+    scale = np.linalg.norm(matrix, 2) * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
+    return residual / scale
+
+
+class TestGramSystem:
+    @pytest.mark.parametrize("grid", BENCH_GRIDS + [(1, 1.0, (6,))])
+    def test_condition_number_matches_svd(self, grid):
+        gram = _gram(*grid)
+        assert gram.condition_number == pytest.approx(np.linalg.cond(gram.matrix), rel=1e-5)
+
+    def test_backward_error_no_worse_than_lu(self, rng):
+        gram = _gram(*COND_1D)
+        assert gram.condition_number > 1e11
+        b = rng.normal(size=(gram.size, 64))
+        ours = _backward_error(gram.matrix, gram.solve(b), b)
+        lu = _backward_error(gram.matrix, lu_solve(gram.matrix, b), b)
+        assert np.max(ours) <= 2.0 * np.max(lu)
+
+    def test_solve_rows_is_solve_transposed(self, rng):
+        gram = _gram(*COND_1D)
+        rows = rng.normal(size=(9, gram.size))
+        assert np.array_equal(gram.solve(rows.T), gram.solve_rows(rows).T)
+        assert np.array_equal(gram.solve(rows[0]), gram.solve_rows(rows[0]))
+
+    @pytest.mark.parametrize("limit", [1e12, np.inf])
+    def test_not_positive_definite_is_ill_conditioned(self, limit):
+        matrix = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
+        assert np.linalg.eigvalsh(matrix)[0] < 0.0
+        with pytest.raises(IllConditionedError, match="condition number inf exceeds limit"):
+            GramSystem(matrix, np.zeros((3, 1)), condition_limit=limit)
+
+
+def _sweep_grids():
+    for spacing in (1.0, 0.75, 0.5, 0.25):
+        for counts in range(2, 41):
+            yield 1, spacing, (counts,)
+        for counts in itertools.product(range(2, 9), repeat=2):
+            yield 2, spacing, counts
+        for counts in [(c,) * 3 for c in range(2, 7)] + [(2, 3, 4), (3, 4, 5)]:
+            yield 3, spacing, counts
+
+
+def test_conditioning_sweep_keeps_the_lu_node_floors():
+    """Every grid under the condition limit keeps the node floor an LU solve gives.
+
+    The error formula resolves squared errors to about one rounding of 1, so
+    a node floor under ``sqrt(eps)`` counts as ``sqrt(eps)``.
+    """
+    tol = 1e-7  # the node_interpolation default
+    resolution = np.sqrt(np.finfo(float).eps)
+    accepted = 0
+    for dim, spacing, counts in _sweep_grids():
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        grid = NodeGrid([0.0] * dim, [spacing] * dim, counts)
+        delta = grid.nodes[:, None, :] - grid.nodes[None, :, :]
+        matrix = kernel.eval(delta.reshape(-1, dim)).reshape(grid.size, grid.size)
+        under_limit = np.linalg.cond(matrix) <= 1e12
+        try:
+            ld = LowRankDictionary.from_kernel(kernel, grid, condition_limit=1e12)
+        except IllConditionedError:
+            assert not under_limit, (dim, spacing, counts)
+            continue
+        except NoValidDecomposition:
+            continue
+        assert under_limit, (dim, spacing, counts)
+        accepted += 1
+        ours = float(np.max(ld.approx_error(ld.nodes)))
+        lu = float(np.max(lu_node_errors(ld)))
+        assert (ours <= tol) == (lu <= tol), (dim, spacing, counts, ours, lu)
+        assert max(ours, resolution) <= 2.0 * max(lu, resolution), (dim, spacing, counts, ours, lu)
+    assert accepted > 250
 
 
 class TestDecompose1D:

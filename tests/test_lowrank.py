@@ -29,6 +29,17 @@ from oracles import (
 )
 
 
+def _gaussian_dictionary(dim, counts):
+    """Unit-width Gaussian dictionary on a grid at spacing 0.5.
+
+    The 6x6x6 grid takes spacing 1, since at 0.5 its Gram matrix is over
+    the condition limit; its kernel has 108 cosine terms.
+    """
+    spacing = 1.0 if counts == (6, 6, 6) else 0.5
+    kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+    return LowRankDictionary.from_kernel(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts))
+
+
 @pytest.fixture(scope="module")
 def emb1(gauss1):
     return DiscreteEmbedding(gauss1, [-8.0], [13.0], 256)
@@ -141,18 +152,18 @@ class TestInnerProducts:
         with pytest.raises(DomainError):
             ld6.approx_inner(np.zeros((3, 1)), np.zeros((4, 1)))
 
-    @pytest.mark.parametrize("dim, counts", [(1, (20,)), (1, (6,)), (2, (2, 3)), (2, (3, 4))])
+    @pytest.mark.parametrize("dim, counts", [(1, (20,)), (1, (6,)), (2, (2, 3)), (2, (3, 4)), (3, (6, 6, 6))])
     def test_inner_of_a_lone_pair_equals_the_batch(self, dim, counts):
-        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
-        ld = LowRankDictionary.from_kernel(kernel, NodeGrid([0.0] * dim, [0.5] * dim, counts))
-        assert ld.rc.num_terms <= 10
-        a, b = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(2, 200, dim))
+        ld = _gaussian_dictionary(dim, counts)
+        n = 100 if counts == (6, 6, 6) else 200  # the 108-term kernel is slow
+        a, b = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(2, n, dim))
         want = ld.approx_inner(a, b)
-        # a lone pair as scalars or vectors, and as a one-row stack
+        # a lone pair as scalars or vectors, and stacks of 1 to 9 pairs
         single = [ld.approx_inner(x if dim > 1 else x[0], y if dim > 1 else y[0]) for x, y in zip(a, b)]
-        stacked = [ld.approx_inner(a[i : i + 1], b[i : i + 1])[0] for i in range(a.shape[0])]
         assert np.array_equal(single, want)
-        assert np.array_equal(stacked, want)
+        for size in range(1, 10):
+            blocks = [ld.approx_inner(a[i : i + size], b[i : i + size]) for i in range(0, n, size)]
+            assert np.array_equal(np.concatenate(blocks), want), size
 
 
 class TestApproxError:
@@ -177,24 +188,28 @@ class TestApproxError:
         assert outside > 0.9  # essentially no approximation power out there
 
 
-    @pytest.mark.parametrize("dim, counts", [(1, (20,)), (2, (2, 3)), (3, (3, 2, 2))])
+    @pytest.mark.parametrize("dim, counts", [(1, (20,)), (2, (2, 3)), (3, (3, 2, 2)), (3, (6, 6, 6))])
     def test_errors_do_not_depend_on_the_block(self, monkeypatch, dim, counts):
-        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
-        ld = LowRankDictionary.from_kernel(kernel, NodeGrid([0.0] * dim, [0.5] * dim, counts))
+        ld = _gaussian_dictionary(dim, counts)
         thetas = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(23, dim))
         want = ld.approx_error(thetas)
-        for chunk in (1, 7):
+        for chunk in range(1, 10):
             monkeypatch.setattr(tidict.lowrank, "_CHUNK", chunk)
-            assert np.array_equal(ld.approx_error(thetas), want)
+            assert np.array_equal(ld.approx_error(thetas), want), chunk
         single = [ld.approx_error(t if dim > 1 else t[0]) for t in thetas]
         assert np.array_equal(single, want)
+        coeffs = ld.coefficients(thetas)
+        for size in range(1, 10):
+            blocks = [ld.coefficients(thetas[i : i + size]) for i in range(0, 23, size)]
+            assert np.array_equal(np.concatenate(blocks), coeffs), size
 
     def test_cross_term_from_axis_tables(self, rng):
         # kappa(x_i - y_j) from per-axis tables: bitwise equal to eval in 1-D
-        for dim, nodes in ((1, 20), (2, 6), (3, 12)):
+        grids = [NodeGrid([0.0] * d, [0.5] * d, [4] * d).nodes for d in (1, 2)]
+        for y in [rng.integers(0, 3, size=(n, d)) * 0.5 for d, n in ((1, 20), (2, 6), (3, 12))] + grids:
+            nodes, dim = y.shape
             kernel = GaussianIsotropicKernel(sigma=0.7, dim=dim)
             x = rng.uniform(-2.0, 4.0, size=(31, dim))
-            y = rng.integers(0, 3, size=(nodes, dim)) * 0.5
             got = kernel.cross(x, y)
             want = kernel.eval((x[:, None, :] - y[None, :, :]).reshape(-1, dim)).reshape(31, nodes)
             assert got.shape == (31, nodes) and got.flags.c_contiguous
