@@ -164,49 +164,8 @@ def cmd_compare_taylor(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def _oracle_correlation(cfg: ExperimentConfig, signal: np.ndarray):
-    """Exhaustive correlation maximization on a fine lattice over the search box.
-
-    Uses the separable structure of the sampled atoms so that all
-    correlations come out of one matrix product per axis; supports one and
-    two parameter axes (:func:`cmd_select_atom` rejects more).
-    """
-    emb = cfg.embedding
-    box = cfg.select_atom.search
-    n = cfg.select_atom.oracle_per_axis
-    axes = [np.linspace(box.lower[a], box.upper[a], n) for a in range(emb.dim)]
-    profiles = []
-    for a in range(emb.dim):
-        p = np.exp(
-            -((emb.axes[a][None, :] - axes[a][:, None]) ** 2)
-            / (2.0 * emb.kernel.sigma**2)
-        )
-        profiles.append(p)
-    if emb.dim == 1:
-        corr = (profiles[0] @ signal) / np.linalg.norm(profiles[0], axis=1)
-        best = int(np.argmax(corr))
-        theta = np.array([axes[0][best]])
-        value = float(corr[best])
-    else:
-        r = signal.reshape(emb.samples_per_axis)
-        num = profiles[0] @ r @ profiles[1].T
-        norms0 = np.linalg.norm(profiles[0], axis=1)
-        norms1 = np.linalg.norm(profiles[1], axis=1)
-        corr = num / np.outer(norms0, norms1)
-        flat = int(np.argmax(corr))
-        i, j = np.unravel_index(flat, corr.shape)
-        theta = np.array([axes[0][i], axes[1][j]])
-        value = float(corr[i, j])
-    cell = np.array([(box.upper[a] - box.lower[a]) / (n - 1) for a in range(emb.dim)])
-    return theta, value, float(np.linalg.norm(cell))
-
-
 def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
     """Recover an atom parameter from (optionally noisy) dual projections."""
-    if cfg.kernel.dim > 2:
-        # checked before any atom is sampled: the node atoms alone would
-        # fill gigabytes on a 3-D lattice
-        raise ConfigError("select-atom oracle supports at most 2 parameter axes")
     ld = _build_dictionary(cfg)
     emb = cfg.embedding
     sel = cfg.select_atom
@@ -215,11 +174,22 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
     if sel.snr_db is not None:
         noise = rng.standard_normal(emb.size)
         noise *= 10.0 ** (-sel.snr_db / 20.0) / np.linalg.norm(noise)
-        signal = signal + noise
-    node_atoms = emb.atoms(ld.nodes)
-    projections = ld.gram.solve_rows(node_atoms @ signal)
+        signal += noise
+        del noise  # one signal tensor, not two, through the contractions below
+    emb.check_window(ld.nodes)
+    # the coordinates of ld.nodes on each axis, with the same bits
+    grid = cfg.grid
+    node_axes = [grid.origin[a] + np.arange(c) * grid.spacing[a] for a, c in enumerate(grid.counts)]
+    projections = ld.gram.solve_rows(emb.correlations(signal, node_axes).ravel())
     theta_hat, value = ld.select_atom(projections, sel.search, sel.settings)
-    theta_star, oracle_value, cell_diag = _oracle_correlation(cfg, signal)
+
+    # exhaustive oracle: ties go to the first lattice point in row-major order
+    box, n = sel.search, sel.oracle_per_axis
+    oracle_axes = [np.linspace(box.lower[a], box.upper[a], n) for a in range(emb.dim)]
+    corr = emb.correlations(signal, oracle_axes)
+    best = np.unravel_index(int(np.argmax(corr)), corr.shape)
+    theta_star = np.array([oracle_axes[a][i] for a, i in enumerate(best)])
+    cell_diag = float(np.linalg.norm((box.upper - box.lower) / (n - 1)))
     distance = float(np.linalg.norm(theta_hat - theta_star))
     _write_json(
         out / "select_atom.json",
@@ -229,7 +199,7 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
             "theta_selected": [float(v) for v in theta_hat],
             "surrogate_value": value,
             "theta_oracle": [float(v) for v in theta_star],
-            "oracle_value": oracle_value,
+            "oracle_value": float(corr[best]),
             "distance": distance,
             "oracle_cell_diagonal": cell_diag,
         },

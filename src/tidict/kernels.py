@@ -9,9 +9,9 @@ atoms depends only on the parameter displacement, so a single even kernel
 All core computations downstream (Gram matrices, low-rank constructions,
 error formulas, the Taylor baseline) consume kernel evaluations only and
 never touch explicit atom vectors.  :class:`DiscreteEmbedding` is the one
-place where atoms are materialized as sample vectors; it exists for the
-window truncation guard, atom selection from a sampled signal, oracles and
-demos.
+place where atoms are sampled; it exists for the window truncation guard,
+the correlations of a sampled signal with a lattice of atoms (atom
+selection and its fine-grid oracle), oracles and demos.
 """
 
 from __future__ import annotations
@@ -235,12 +235,13 @@ class GaussianIsotropicKernel(TIKernel):
 class DiscreteEmbedding:
     """Finite sampling of the Gaussian atom family on a regular grid.
 
-    Atoms are evaluated on a tensor-product lattice over ``[lower, upper]``,
-    scaled by the square root of the cell volume so that discrete inner
-    products approximate their continuous counterparts, then renormalized to
+    An atom is the outer product of one Gaussian profile per axis, sampled
+    on a tensor-product lattice over ``[lower, upper]`` and normalized to
     unit Euclidean norm.  ``atom`` raises :class:`TruncationError` when more
     than ``truncation_tol`` of the atom's norm falls outside the window
     (measured against the same lattice extended to infinity).
+    :meth:`correlations` correlates a signal with a lattice of atoms one
+    axis at a time and samples none of them; :meth:`atoms` is its reference.
 
     Attributes
     ----------
@@ -294,10 +295,6 @@ class DiscreteEmbedding:
                 for a in range(self.dim)
             ]
         )
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.steps))
 
     @property
     def size(self) -> int:
@@ -407,9 +404,7 @@ class DiscreteEmbedding:
         n = pts.shape[0]
         out = np.ones((n, 1))
         for a in range(self.dim):
-            x = self.axes[a] - pts[:, a, None]
-            with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-                profile = np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
+            profile = self._profiles(a, pts[:, a])
             out = (out[:, :, None] * profile[:, None, :]).reshape(n, -1)
         for theta, row in zip(pts, out):
             norm = np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent
@@ -420,3 +415,37 @@ class DiscreteEmbedding:
                 )
             row /= norm
         return out
+
+    def correlations(self, signal, axes) -> np.ndarray:
+        """``<a(theta), signal>`` for every ``theta`` of ``axes[0] x ... x axes[d-1]``.
+
+        The result has shape ``(len(axes[0]), ...)``, row-major like
+        ``NodeGrid.nodes``.  The signal tensor (``size`` samples) is
+        contracted axis by axis with the ``(m_a, n_a)`` matrix of unit-norm
+        axis profiles, so no atom is formed and the window is not checked.
+        Raises :class:`DomainError` for a signal of another size, and for a
+        coordinate whose profile has no mass on the sampling lattice.
+        """
+        t = np.asarray(signal, dtype=float)
+        if t.size != self.size or len(axes) != self.dim:
+            raise DomainError(f"need {self.size} samples and {self.dim} axes, got {t.size} and {len(axes)}")
+        shape = tuple(len(coords) for coords in axes)
+        for a, coords in enumerate(axes):
+            coords = np.asarray(coords, dtype=float)
+            profile = self._profiles(a, coords)
+            norms = np.linalg.norm(profile, axis=1)
+            if not np.all(norms > 0.0):
+                raise DomainError(
+                    f"atoms at theta[{a}]={float(coords[np.argmin(norms)])} have no mass on the "
+                    f"sampling lattice: sigma {self.kernel.sigma} is too small for its step"
+                )
+            profile /= norms[:, None]
+            # (done, n_a, rest) -> (done, m_a, rest) by a stack of products, without copying t
+            t = profile @ t.reshape(math.prod(shape[:a]), self.samples_per_axis[a], -1)
+        return t.reshape(shape)
+
+    def _profiles(self, a: int, coords: np.ndarray) -> np.ndarray:
+        """Unnormalised axis-``a`` profiles of atoms centred at ``coords``, shape ``(len(coords), n_a)``."""
+        x = self.axes[a] - coords[:, None]
+        with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
+            return np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))

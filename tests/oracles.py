@@ -186,7 +186,7 @@ def sampled_taylor_basis(embedding, center, order):
         vec = per_axis[0][alpha[0]]
         for a in range(1, embedding.dim):
             vec = np.multiply.outer(vec, per_axis[a][alpha[a]])
-        basis[i] = vec.ravel() * math.sqrt(embedding.cell_volume)
+        basis[i] = vec.ravel() * math.sqrt(float(np.prod(embedding.steps)))
     return basis
 
 

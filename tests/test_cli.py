@@ -15,7 +15,7 @@ import pytest
 import tidict
 import tidict._csvformat
 import tidict.cli
-from oracles import savetxt_csv
+from oracles import fine_grid_argmax, savetxt_csv
 from tidict.cli import main
 
 
@@ -256,20 +256,73 @@ class TestSelectAtom:
         assert result["distance"] <= 3.0 * result["oracle_cell_diagonal"]
 
 
-    def test_3d_config_exits_1_before_sampling(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("sampled an atom")
+    def test_3d_recovery_samples_no_node_atom(self, tmp_path, monkeypatch):
+        sample = tidict.DiscreteEmbedding.atoms
 
-        monkeypatch.setattr(tidict.DiscreteEmbedding, "atom", fail)
-        monkeypatch.setattr(tidict.DiscreteEmbedding, "atoms", fail)
+        def one_atom(self, thetas):
+            if np.asarray(thetas).reshape(-1, self.dim).shape[0] > 1:
+                raise AssertionError("sampled more than the signal atom")
+            return sample(self, thetas)
+
+        monkeypatch.setattr(tidict.DiscreteEmbedding, "atoms", one_atom)
+        for seed in (1, 2, 3, 4):
+            payload = {
+                "seed": seed,
+                "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 3},
+                "grid": {"origin": 0.0, "spacing": 1.0, "counts": [2, 3, 2]},
+                "embedding": {"samples_per_axis": 32},
+                "select_atom": {
+                    "theta_true": [0.37, 1.21, 0.64],
+                    "snr_db": 20.0,
+                    "oracle_per_axis": 40,
+                },
+            }
+            cfg = write_config(tmp_path, payload)
+            assert main(["select-atom", "--config", cfg, "--out", str(tmp_path)]) == 0
+            result = json.loads((tmp_path / "select_atom.json").read_text())
+            assert result["distance"] <= 0.5 * result["oracle_cell_diagonal"], seed
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            config_1d(seed=11, select_atom={"theta_true": 2.3, "snr_db": 20.0}),
+            config_2d(seed=5, select_atom={"theta_true": [0.37, 0.81], "snr_db": 20.0}),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_oracle_matches_the_fine_grid_reference(self, tmp_path, payload):
+        path = write_config(tmp_path, payload)
+        assert main(["select-atom", "--config", path, "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "select_atom.json").read_text())
+        # the CLI's test signal, rebuilt from the config
+        cfg = tidict.load_config(path)
+        emb, sel = cfg.embedding, cfg.select_atom
+        noise = np.random.default_rng(cfg.seed).standard_normal(emb.size)
+        noise *= 10.0 ** (-sel.snr_db / 20.0) / np.linalg.norm(noise)
+        signal = emb.atom(sel.theta_true) + noise
+        theta, value, cell = fine_grid_argmax(emb, sel.search, signal, sel.oracle_per_axis)
+        assert result["theta_oracle"] == theta.tolist()
+        assert result["oracle_value"] == pytest.approx(value, rel=1e-13)
+        assert result["oracle_cell_diagonal"] == cell
+
+    def test_runs_in_bounded_memory(self, tmp_path):
+        # about one 256x256 signal: the 25 node atoms alone would take 12.5 MiB
         payload = {
-            "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 3},
-            "grid": {"origin": 0.0, "spacing": 1.0, "counts": [2, 2, 2]},
-            "embedding": {"samples_per_axis": 16},
+            "seed": 3,
+            "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 2},
+            "grid": {"origin": [0.0, 0.0], "spacing": 1.0, "counts": [5, 5]},
+            "embedding": {"samples_per_axis": 256},
+            "select_atom": {"theta_true": [1.37, 2.81], "snr_db": 20.0},
         }
         cfg = write_config(tmp_path, payload)
-        assert main(["select-atom", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "at most 2 parameter axes" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            code = main(["select-atom", "--config", cfg, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4e6
 
 
 class TestValidate:
@@ -503,6 +556,27 @@ class TestErrorPaths:
         else:
             assert codes["select-atom"] == 1
             assert codes["compare-taylor"] == (1 if sigma == 1e-100 else 0)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([2, 2], "theta[0]=0.005025"), ([2, 3], "theta[1]=1.0 ")],
+        ids=["oracle-lattice", "node"],
+    )
+    def test_select_atom_with_a_massless_profile_exits_1(self, tmp_path, capsys, counts, message):
+        # sigma 1e-20 and theta_true on a lattice point: the signal atom has
+        # mass, but the oracle's second point, or the node at theta[1] = 1,
+        # falls between lattice points and has none
+        payload = config_2d(
+            kernel={"kernel": "gaussian", "sigma": 1e-20, "dim": 2},
+            grid={"origin": [0.0, 0.0], "spacing": 1.0, "counts": counts},
+            select_atom={"theta_true": [0.0, 0.0], "snr_db": None},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["select-atom", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "no mass" in err and message in err
+        assert not (tmp_path / "out" / "select_atom.json").exists()
 
     def test_sigma_just_inside_the_bound_runs_without_warnings(self, tmp_path, capsys):
         # 4 sigma^2 is finite and nonzero, but |delta|^2 / (4 sigma^2) overflows

@@ -230,6 +230,33 @@ class TestDiscreteEmbedding:
         with pytest.raises(DomainError, match="no mass"):
             emb.atoms(np.array([[0.37, 0.81]]))
 
+    def test_correlations_match_sampled_atoms(self):
+        rng = np.random.default_rng(5)
+        for samples, counts in ((300, (7,)), ((64, 50), (5, 4)), ((20, 16, 12), (3, 4, 2))):
+            dim = len(counts)
+            emb = DiscreteEmbedding(GaussianIsotropicKernel(0.8, dim), [-5.0] * dim, [6.0] * dim, samples)
+            axes = [rng.uniform(-1.0, 2.0, c) for c in counts]
+            thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            signal = rng.standard_normal(emb.size)
+            want = emb.atoms(thetas) @ signal
+            for given in (signal, signal.reshape(emb.samples_per_axis)):
+                got = emb.correlations(given, axes)
+                assert got.shape == counts
+                # |<a, signal>| <= ||signal|| for a unit-norm atom
+                assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.linalg.norm(signal)
+
+    def test_correlations_of_a_massless_profile_raise(self):
+        # a 1e-20-wide profile has mass only at a lattice point
+        emb = DiscreteEmbedding(GaussianIsotropicKernel(1e-20, dim=2), [0.0] * 2, [1.0] * 2, 128)
+        signal = np.ones(emb.size)
+        assert np.array_equal(emb.correlations(signal, [[0.0, 1.0], [1.0]]), np.ones((2, 1)))
+        with pytest.raises(DomainError, match=r"theta\[1\]=0.37 have no mass"):
+            emb.correlations(signal, [[0.0], [0.37]])
+        with pytest.raises(DomainError, match="got 16383 and 2"):
+            emb.correlations(signal[1:], [[0.0], [1.0]])
+        with pytest.raises(DomainError, match="got 16384 and 1"):
+            emb.correlations(signal, [[0.0]])
+
     def test_window_validation(self, gauss1, gauss2):
         with pytest.raises(DomainError):
             DiscreteEmbedding(gauss1, [2.0], [-2.0], 64)
