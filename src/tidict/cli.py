@@ -164,18 +164,37 @@ def cmd_compare_taylor(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
+def _lattice_argmax(emb, signal: np.ndarray, axes) -> tuple[tuple, float]:
+    """Index and value of the largest correlation of ``signal`` over the lattice ``axes``.
+
+    The exhaustive oracle of ``select-atom``: a running argmax over the
+    slabs of :meth:`~tidict.kernels.DiscreteEmbedding.correlation_slabs`,
+    so the whole correlation tensor is never held.  Ties go to the first
+    lattice point in row-major order, as with ``np.argmax`` of the tensor.
+    """
+    shape = tuple(len(coords) for coords in axes)
+    best = value = None
+    for start, slab in emb.correlation_slabs(signal, axes):
+        i = int(np.argmax(slab))
+        if value is None or slab.flat[i] > value:
+            best, value = start * math.prod(shape[1:]) + i, slab.flat[i]
+    return np.unravel_index(best, shape), float(value)
+
+
 def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
     """Recover an atom parameter from (optionally noisy) dual projections."""
     ld = _build_dictionary(cfg)
     emb = cfg.embedding
     sel = cfg.select_atom
     rng = np.random.default_rng(cfg.seed)
-    signal = emb.atom(sel.theta_true)
-    if sel.snr_db is not None:
-        noise = rng.standard_normal(emb.size)
-        noise *= 10.0 ** (-sel.snr_db / 20.0) / np.linalg.norm(noise)
-        signal += noise
-        del noise  # one signal tensor, not two, through the contractions below
+    emb.check_window(sel.theta_true)
+    # one buffer: the noise, or zeros, and the atom added into it
+    if sel.snr_db is None:
+        signal = np.zeros(emb.size)
+    else:
+        signal = rng.standard_normal(emb.size)
+        signal *= 10.0 ** (-sel.snr_db / 20.0) / np.linalg.norm(signal)
+    emb.add_atom(signal, sel.theta_true)
     emb.check_window(ld.nodes)
     # the coordinates of ld.nodes on each axis, with the same bits
     grid = cfg.grid
@@ -183,11 +202,9 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
     projections = ld.gram.solve_rows(emb.correlations(signal, node_axes).ravel())
     theta_hat, value = ld.select_atom(projections, sel.search, sel.settings)
 
-    # exhaustive oracle: ties go to the first lattice point in row-major order
     box, n = sel.search, sel.oracle_per_axis
     oracle_axes = [np.linspace(box.lower[a], box.upper[a], n) for a in range(emb.dim)]
-    corr = emb.correlations(signal, oracle_axes)
-    best = np.unravel_index(int(np.argmax(corr)), corr.shape)
+    best, oracle_value = _lattice_argmax(emb, signal, oracle_axes)
     theta_star = np.array([oracle_axes[a][i] for a, i in enumerate(best)])
     cell_diag = float(np.linalg.norm((box.upper - box.lower) / (n - 1)))
     distance = float(np.linalg.norm(theta_hat - theta_star))
@@ -199,7 +216,7 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
             "theta_selected": [float(v) for v in theta_hat],
             "surrogate_value": value,
             "theta_oracle": [float(v) for v in theta_star],
-            "oracle_value": float(corr[best]),
+            "oracle_value": oracle_value,
             "distance": distance,
             "oracle_cell_diagonal": cell_diag,
         },

@@ -322,11 +322,20 @@ def _resolve(raw: dict) -> ExperimentConfig:
             _vector(search_cfg["upper"], dim, "select_atom.search.upper"),
         )
     snr = scfg.get("snr_db")
+    if snr is not None:
+        snr = float(snr)
+        try:
+            10.0 ** (-snr / 10.0)  # the noise energy, which must be a float
+        except OverflowError:
+            raise ConfigError(
+                f"select_atom.snr_db: {snr:g} dB gives a noise energy 10^({-snr / 10.0:g}) "
+                "beyond the float range; use at least -3082 dB"
+            ) from None
     select_atom = SelectAtomConfig(
         theta_true=_vector(
             scfg.get("theta_true", evaluation.center), dim, "select_atom.theta_true"
         ),
-        snr_db=None if snr is None else float(snr),
+        snr_db=snr,
         oracle_per_axis=int(scfg.get("oracle_per_axis", 200)),
         search=search,
         settings=SelectAtomSettings(**_overrides(SelectAtomSettings, scfg)),

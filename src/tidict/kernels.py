@@ -17,6 +17,7 @@ selection and its fine-grid oracle), oracles and demos.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,8 @@ from .errors import DomainError, TruncationError
 _DEFICIT_CHUNK = 1 << 20
 # fewest rows pad_rows hands to a matrix product
 _MIN_GEMM_ROWS = 8
+# first-axis rows per slab of DiscreteEmbedding.correlation_slabs, a multiple of _MIN_GEMM_ROWS
+_SLAB_ROWS = 16
 
 __all__ = [
     "ParamBox",
@@ -240,8 +243,12 @@ class DiscreteEmbedding:
     unit Euclidean norm.  ``atom`` raises :class:`TruncationError` when more
     than ``truncation_tol`` of the atom's norm falls outside the window
     (measured against the same lattice extended to infinity).
-    :meth:`correlations` correlates a signal with a lattice of atoms one
-    axis at a time and samples none of them; :meth:`atoms` is its reference.
+    :meth:`correlation_slabs` correlates a signal with a lattice of atoms
+    one axis at a time and one slab of first-axis rows at a time, and
+    samples none of them; :meth:`correlations` is its one-slab case and
+    :meth:`atoms` their reference.  :meth:`add_atom` adds an atom into a
+    signal tensor in place, so that atom selection holds one signal
+    tensor plus one slab.
 
     Attributes
     ----------
@@ -416,36 +423,83 @@ class DiscreteEmbedding:
             row /= norm
         return out
 
-    def correlations(self, signal, axes) -> np.ndarray:
-        """``<a(theta), signal>`` for every ``theta`` of ``axes[0] x ... x axes[d-1]``.
+    def add_atom(self, signal: np.ndarray, theta) -> None:
+        """Add the unit-norm atom at ``theta`` to the ``size``-sample tensor ``signal`` in place.
 
-        The result has shape ``(len(axes[0]), ...)``, row-major like
-        ``NodeGrid.nodes``.  The signal tensor (``size`` samples) is
-        contracted axis by axis with the ``(m_a, n_a)`` matrix of unit-norm
-        axis profiles, so no atom is formed and the window is not checked.
+        The atom is the outer product of the unit-norm axis profiles, added
+        ``_SLAB_ROWS`` first-axis slices at a time, so no second tensor of
+        ``size`` samples is formed.  Its samples may differ from
+        :meth:`atom`'s, which normalises the whole product, in the last
+        bits.  The window is not checked.  Raises :class:`DomainError` for
+        a signal that is not a C-contiguous float array of ``size``
+        samples, and for an atom with no mass on the lattice.
+        """
+        if signal.size != self.size or signal.dtype != float or not signal.flags.c_contiguous:
+            raise DomainError(f"need a C-contiguous float tensor of {self.size} samples")
+        th = self._single(theta, "theta")
+        first, *others = (self._unit_profiles(a, th[a : a + 1])[0] for a in range(self.dim))
+        rest = np.ones(1)
+        for profile in others:
+            rest = np.multiply.outer(rest, profile).ravel()
+        rows = signal.reshape(first.shape[0], -1)
+        for start in range(0, first.shape[0], _SLAB_ROWS):
+            rows[start : start + _SLAB_ROWS] += np.multiply.outer(first[start : start + _SLAB_ROWS], rest)
+
+    def correlation_slabs(self, signal, axes, rows: int | None = None):
+        """Yield ``(start, slab)``: ``<a(theta), signal>`` on first-axis rows ``start:start + len(slab)``.
+
+        The slabs stack to the tensor of shape ``(len(axes[0]), ...)`` over
+        the lattice ``axes[0] x ... x axes[d-1]``, row-major like
+        ``NodeGrid.nodes``.  Each slab is ``rows`` first-axis rows high
+        (default ``_SLAB_ROWS``), and a tail shorter than ``_MIN_GEMM_ROWS``
+        rows joins the previous slab, so that with the BLAS build named in
+        :func:`pad_rows` a value has the same bits in any slab.  The
+        ``(m_a, n_a)`` matrices of unit-norm axis profiles are built once;
+        each slab contracts the signal tensor (``size`` samples) with them
+        axis by axis, so no atom is formed and the window is not checked.
         Raises :class:`DomainError` for a signal of another size, and for a
         coordinate whose profile has no mass on the sampling lattice.
         """
         t = np.asarray(signal, dtype=float)
         if t.size != self.size or len(axes) != self.dim:
             raise DomainError(f"need {self.size} samples and {self.dim} axes, got {t.size} and {len(axes)}")
-        shape = tuple(len(coords) for coords in axes)
-        for a, coords in enumerate(axes):
-            coords = np.asarray(coords, dtype=float)
-            profile = self._profiles(a, coords)
-            norms = np.linalg.norm(profile, axis=1)
-            if not np.all(norms > 0.0):
-                raise DomainError(
-                    f"atoms at theta[{a}]={float(coords[np.argmin(norms)])} have no mass on the "
-                    f"sampling lattice: sigma {self.kernel.sigma} is too small for its step"
-                )
-            profile /= norms[:, None]
-            # (done, n_a, rest) -> (done, m_a, rest) by a stack of products, without copying t
-            t = profile @ t.reshape(math.prod(shape[:a]), self.samples_per_axis[a], -1)
-        return t.reshape(shape)
+        profiles = [self._unit_profiles(a, np.asarray(c, dtype=float)) for a, c in enumerate(axes)]
+        shape = tuple(p.shape[0] for p in profiles)
+        starts = list(range(0, shape[0], _SLAB_ROWS if rows is None else rows)) or [0]
+        if len(starts) > 1 and shape[0] - starts[-1] < _MIN_GEMM_ROWS:
+            starts.pop()  # a short tail joins the previous slab
+        for start, stop in zip(starts, starts[1:] + [shape[0]]):
+            slab = (stop - start,) + shape[1:]
+            block = t
+            for a, profile in enumerate(profiles):
+                if a == 0:
+                    profile = profile[start:stop]
+                # (done, n_a, rest) -> (done, m_a, rest) by a stack of products, without copying t
+                block = profile @ block.reshape(math.prod(slab[:a]), self.samples_per_axis[a], -1)
+            yield start, block.reshape(slab)
+
+    def correlations(self, signal, axes) -> np.ndarray:
+        """The whole tensor of :meth:`correlation_slabs`, as its one slab."""
+        ((_, corr),) = self.correlation_slabs(signal, axes, rows=sys.maxsize)
+        return corr
+
+    def _unit_profiles(self, a: int, coords: np.ndarray) -> np.ndarray:
+        """:meth:`_profiles` with each row divided by its norm; a zero norm raises :class:`DomainError`."""
+        profile = self._profiles(a, coords)
+        norms = np.linalg.norm(profile, axis=1)
+        if not np.all(norms > 0.0):
+            raise DomainError(
+                f"atoms at theta[{a}]={float(coords[np.argmin(norms)])} have no mass on the "
+                f"sampling lattice: sigma {self.kernel.sigma} is too small for its step"
+            )
+        profile /= norms[:, None]
+        return profile
 
     def _profiles(self, a: int, coords: np.ndarray) -> np.ndarray:
         """Unnormalised axis-``a`` profiles of atoms centred at ``coords``, shape ``(len(coords), n_a)``."""
         x = self.axes[a] - coords[:, None]
+        np.multiply(x, x, out=x)
+        np.negative(x, out=x)
         with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-            return np.exp(-(x * x) / (2.0 * self.kernel.sigma**2))
+            np.divide(x, 2.0 * self.kernel.sigma**2, out=x)
+        return np.exp(x, out=x)

@@ -210,9 +210,11 @@ class LowRankDictionary:
 
         Seeds a coarse lattice, refines the best seeds by damped projected
         Newton ascent on the trigonometric surrogate (gradient and Hessian
-        are analytic), and returns the best maximizer with its value.
-        Deterministic for fixed inputs; exact ties are broken toward the
-        lexicographically smallest parameter vector.
+        are analytic), and returns the best maximizer with its value.  The
+        seeds are ranked by one ``np.lexsort``, on the value and then on
+        the coordinates.  Deterministic for fixed inputs; exact ties, among
+        seeds and among maximizers, are broken toward the lexicographically
+        smallest parameter vector.
 
         Returns
         -------
@@ -253,11 +255,9 @@ class LowRankDictionary:
 
         seeds = search.grid(settings.coarse_per_axis)
         vals = f_batch(seeds)
-        order = sorted(
-            range(seeds.shape[0]),
-            key=lambda i: (-vals[i], tuple(seeds[i])),
-        )
-        starts = [seeds[i] for i in order[: settings.num_starts]]
+        # best value first, ties to the lexicographically smallest seed
+        order = np.lexsort((*seeds.T[::-1], -vals))
+        starts = seeds[order[: settings.num_starts]]
 
         candidates = []
         for x0 in starts:

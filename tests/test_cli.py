@@ -15,6 +15,7 @@ import pytest
 import tidict
 import tidict._csvformat
 import tidict.cli
+import tidict.kernels
 from oracles import fine_grid_argmax, savetxt_csv
 from tidict.cli import main
 
@@ -322,7 +323,67 @@ class TestSelectAtom:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 4e6
+        assert peak < 2e6
+
+    def test_3d_runs_in_a_few_signal_tensors(self, tmp_path):
+        # the 64^3 signal takes 2 MiB; its noise, an atom of the same size
+        # or the oracle's partial contractions would each add about 1x more
+        payload = {
+            "seed": 1,
+            "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 3},
+            "grid": {"origin": 0.0, "spacing": 1.0, "counts": [2, 3, 2]},
+            "embedding": {"samples_per_axis": 64},
+            "select_atom": {"theta_true": [0.37, 1.21, 0.64], "snr_db": 20.0, "oracle_per_axis": 64},
+        }
+        cfg = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            code = main(["select-atom", "--config", cfg, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4.0 * 64**3 * 8
+
+
+class TestLatticeArgmax:
+    @staticmethod
+    def _embedding(dim):
+        samples = {1: 300, 2: (64, 50), 3: (20, 16, 12)}[dim]
+        return tidict.DiscreteEmbedding(tidict.GaussianIsotropicKernel(0.8, dim), [-5.0] * dim, [6.0] * dim, samples)
+
+    @pytest.mark.parametrize("slab_rows", [8, 16, None])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_argmax_of_the_whole_tensor(self, monkeypatch, dim, slab_rows):
+        if slab_rows is not None:
+            monkeypatch.setattr(tidict.kernels, "_SLAB_ROWS", slab_rows)
+        emb = self._embedding(dim)
+        rng = np.random.default_rng(dim)
+        for first in (8, 9, 17, 63, 65, 200):
+            axes = [np.linspace(-1.0, 2.0, first)] + [np.linspace(-1.0, 2.0, c) for c in (5, 4)[: dim - 1]]
+            # the peak near the start, the middle and the end of the first axis
+            for centre in (-0.9, 0.55, 1.95):
+                signal = np.zeros(emb.samples_per_axis)
+                emb.add_atom(signal, [centre] + [0.5] * (dim - 1))
+                signal += 0.1 * rng.standard_normal(emb.samples_per_axis)
+                whole = emb.correlations(signal, axes)
+                index, value = tidict.cli._lattice_argmax(emb, signal, axes)
+                assert index == np.unravel_index(np.argmax(whole), whole.shape)
+                assert value == whole[index]  # bit for bit
+
+    @pytest.mark.parametrize("slab_rows", [8, 16])
+    def test_a_tie_across_slabs_goes_to_the_first_point(self, monkeypatch, slab_rows):
+        monkeypatch.setattr(tidict.kernels, "_SLAB_ROWS", slab_rows)
+        emb = self._embedding(2)
+        axes = [np.linspace(-1.0, 2.0, 40), np.linspace(-1.0, 2.0, 5)]
+        axes[0][34] = axes[0][2]  # rows 2 and 34 lie in different slabs
+        signal = np.zeros(emb.samples_per_axis)
+        emb.add_atom(signal, [axes[0][2], axes[1][3]])
+        whole = emb.correlations(signal, axes)
+        assert whole[34, 3] == whole[2, 3] == np.max(whole)
+        assert tidict.cli._lattice_argmax(emb, signal, axes) == ((2, 3), whole[2, 3])
+        # an all-zero signal ties everywhere
+        assert tidict.cli._lattice_argmax(emb, np.zeros(emb.size), axes) == ((0, 0), 0.0)
 
 
 class TestValidate:
@@ -556,6 +617,27 @@ class TestErrorPaths:
         else:
             assert codes["select-atom"] == 1
             assert codes["compare-taylor"] == (1 if sigma == 1e-100 else 0)
+
+    @pytest.mark.parametrize("snr_db", [-7000.0, -4000.0])
+    def test_select_atom_with_an_unbounded_noise_energy_exits_1(self, tmp_path, capsys, snr_db):
+        # 10^(-snr_db / 10) overflows: at -7000 dB the noise scale raised
+        # OverflowError, at -4000 dB the Newton gradient norm overflowed
+        cfg = write_config(tmp_path, config_1d(select_atom={"theta_true": 2.3, "snr_db": snr_db}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select-atom", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "select_atom.snr_db" in err
+
+    def test_select_atom_at_minus_3000_db_runs_without_warnings(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_1d(select_atom={"theta_true": 2.3, "snr_db": -3000.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["select-atom", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads((tmp_path / "out" / "select_atom.json").read_text())
+        assert all(np.isfinite(v) for v in _json_numbers(result))
 
     @pytest.mark.parametrize(
         "counts, message",

@@ -257,6 +257,44 @@ class TestDiscreteEmbedding:
         with pytest.raises(DomainError, match="got 16384 and 1"):
             emb.correlations(signal, [[0.0]])
 
+    @pytest.mark.parametrize("slab_rows", [8, 16, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_correlation_slabs_stack_to_the_one_slab_tensor(self, monkeypatch, dim, slab_rows):
+        monkeypatch.setattr(tidict.kernels, "_SLAB_ROWS", slab_rows)
+        rng = np.random.default_rng(dim)
+        samples = {1: 300, 2: (64, 50), 3: (20, 16, 12)}[dim]
+        emb = DiscreteEmbedding(GaussianIsotropicKernel(0.8, dim), [-5.0] * dim, [6.0] * dim, samples)
+        signal = rng.standard_normal(emb.size)
+        for first in (8, 9, 17, 63, 65, 200):
+            axes = [np.linspace(-1.0, 2.0, first)] + [rng.uniform(-1.0, 2.0, c) for c in (5, 4)[: dim - 1]]
+            whole = emb.correlations(signal, axes)
+            starts, slabs = zip(*emb.correlation_slabs(signal, axes))
+            heights = [slab.shape[0] for slab in slabs]
+            assert list(starts) == [0] + list(np.cumsum(heights)[:-1])
+            assert sum(heights) == first
+            # full slabs, then a tail of at least 8 rows that a shorter tail joined
+            assert all(h == slab_rows for h in heights[:-1])
+            assert min(8, first) <= heights[-1] < slab_rows + 8
+            assert np.array_equal(np.concatenate(slabs), whole)  # bit for bit
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_add_atom_adds_the_sampled_atom(self, dim):
+        emb = DiscreteEmbedding(GaussianIsotropicKernel(0.8, dim), [-5.0] * dim, [6.0] * dim, {1: 300, 2: 64, 3: 20}[dim])
+        theta = np.linspace(0.3, 1.1, dim)
+        signal = np.ones(emb.samples_per_axis)
+        emb.add_atom(signal, theta)
+        emb.add_atom(signal.ravel(), theta)  # a flat view adds into the same buffer
+        assert np.max(np.abs(signal.ravel() - 1.0 - 2.0 * emb.atom(theta))) <= 1e-15
+
+    def test_add_atom_refuses_a_buffer_it_cannot_write(self, gauss2):
+        emb = DiscreteEmbedding(gauss2, [-5.0, -5.0], [7.0, 7.0], 64)
+        for bad in (np.zeros(emb.size - 1), np.zeros(emb.size, dtype=np.float32), np.zeros((64, 128))[:, ::2]):
+            with pytest.raises(DomainError, match="C-contiguous float tensor of 4096 samples"):
+                emb.add_atom(bad, [0.0, 0.0])
+        massless = DiscreteEmbedding(GaussianIsotropicKernel(1e-20, dim=2), [0.0] * 2, [1.0] * 2, 128)
+        with pytest.raises(DomainError, match=r"theta\[0\]=0.37 have no mass"):
+            massless.add_atom(np.zeros(massless.size), [0.37, 0.0])
+
     def test_window_validation(self, gauss1, gauss2):
         with pytest.raises(DomainError):
             DiscreteEmbedding(gauss1, [2.0], [-2.0], 64)

@@ -290,6 +290,29 @@ class TestSelectAtom:
         assert theta[0] == -1.0
         assert value == pytest.approx(2.0)
 
+    def test_tied_seeds_start_in_lexicographic_order(self, ld23, monkeypatch):
+        starts = []
+        ascent = LowRankDictionary._newton_ascent
+
+        def record(f_grad_hess, x0, lower, upper, settings):
+            starts.append(np.array(x0))
+            return ascent(f_grad_hess, x0, lower, upper, settings)
+
+        monkeypatch.setattr(LowRankDictionary, "_newton_ascent", staticmethod(record))
+        box = ParamBox([0.0, 0.0], [1.0, 2.0])
+        settings = SelectAtomSettings(coarse_per_axis=5, num_starts=7)
+        # all-zero projections: every coarse seed ties at the value 0
+        theta, value = ld23.select_atom(np.zeros(6), box, settings)
+        # the first 7 seeds in row-major order: (0, 0), (0, 0.5), ..., (0, 2), (0.25, 0), (0.25, 0.5)
+        assert np.array_equal(np.array(starts), box.grid(5)[:7])
+        assert np.array_equal(theta, box.lower) and value == 0.0
+        # without ties the best seed comes first: node 4, (1, 1), is a seed
+        starts.clear()
+        projections = np.zeros(6)
+        projections[4] = 1.0
+        ld23.select_atom(projections, box, SelectAtomSettings(coarse_per_axis=5, num_starts=1))
+        assert np.array_equal(np.array(starts), [[1.0, 1.0]])
+
     def test_input_validation(self, ld6):
         with pytest.raises(DomainError):
             ld6.select_atom(np.zeros(5), ParamBox([0.0], [5.0]))
