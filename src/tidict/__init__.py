@@ -33,7 +33,6 @@ from .kernels import (
     DiscreteEmbedding,
     GaussianIsotropicKernel,
     ParamBox,
-    TIKernel,
 )
 from .lowrank import LowRankDictionary, SelectAtomSettings
 from .raised_cosine import RaisedCosineKernel, ValidationReport
@@ -63,7 +62,6 @@ __all__ = [
     "DiscreteEmbedding",
     "GaussianIsotropicKernel",
     "ParamBox",
-    "TIKernel",
     "LowRankDictionary",
     "SelectAtomSettings",
     "RaisedCosineKernel",

@@ -37,7 +37,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
-from .kernels import TIKernel
+from .kernels import GaussianIsotropicKernel
 from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_PRUNE_TOL, RaisedCosineKernel
 
 __all__ = [
@@ -185,7 +185,7 @@ class GramSystem:
 
 
 def build_gram(
-    kernel: TIKernel,
+    kernel: GaussianIsotropicKernel,
     nodes,
     condition_limit: float = CONDITION_LIMIT,
 ) -> GramSystem:
@@ -193,7 +193,7 @@ def build_gram(
 
     Parameters
     ----------
-    kernel : TIKernel
+    kernel : GaussianIsotropicKernel
         Translation-invariant kernel of the atom family.
     nodes : NodeGrid or array_like, shape (L, dim)
         Interpolation nodes.  Passing a :class:`NodeGrid` computes all
@@ -408,7 +408,7 @@ def decompose_gram_separable(
 
 
 def decompose_grid(
-    kernel: TIKernel,
+    kernel: GaussianIsotropicKernel,
     grid: NodeGrid,
     residual_tol: float = RESIDUAL_TOL,
 ) -> RaisedCosineKernel:

@@ -9,9 +9,10 @@ atoms depends only on the parameter displacement, so a single even kernel
 All core computations downstream (Gram matrices, low-rank constructions,
 error formulas, the Taylor baseline) consume kernel evaluations only and
 never touch explicit atom vectors.  :class:`DiscreteEmbedding` is the one
-place where atoms are sampled; it exists for the window truncation guard,
-the correlations of a sampled signal with a lattice of atoms (atom
-selection and its fine-grid oracle), oracles and demos.
+place where atoms are sampled or correlated with a sampled signal: atom
+selection's test atom, node projections and fine-grid oracle, oracles and
+demos.  Its window check guards only those atoms; the closed-form errors
+of the surrogate and of the Taylor baseline read no window.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ _SLAB_ROWS = 16
 
 __all__ = [
     "ParamBox",
-    "TIKernel",
     "GaussianIsotropicKernel",
     "DiscreteEmbedding",
     "as_param_array",
@@ -153,41 +153,18 @@ class ParamBox:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-class TIKernel:
-    """Translation-invariant kernel of a unit-norm atom family.
-
-    Subclasses implement :meth:`_eval_batch` on a ``(n, dim)`` stack of
-    displacements.  The kernel must be even with ``eval(0) == 1``.
-    """
-
-    dim: int
-
-    def __init__(self, dim: int):
-        if int(dim) < 1:
-            raise DomainError("kernel dimension must be >= 1")
-        self.dim = int(dim)
-
-    def _eval_batch(self, deltas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def eval(self, delta):
-        """Kernel value at one displacement, or at a stack of displacements."""
-        deltas, single = as_param_array(delta, self.dim, name="delta")
-        vals = self._eval_batch(deltas)
-        return float(vals[0]) if single else vals
-
-    __call__ = eval
-
-
-class GaussianIsotropicKernel(TIKernel):
+class GaussianIsotropicKernel:
     """Correlation kernel of isotropic Gaussian atoms with width ``sigma``.
 
     Two unit-norm Gaussian bumps whose centers differ by ``delta`` have
-    inner product ``exp(-||delta||^2 / (4 sigma^2))``, in any dimension.
+    inner product ``exp(-||delta||^2 / (4 sigma^2))``, in any dimension:
+    a translation-invariant kernel, even, with ``eval(0) == 1``.
     """
 
     def __init__(self, sigma: float, dim: int = 1):
-        super().__init__(dim)
+        if int(dim) < 1:
+            raise DomainError("kernel dimension must be >= 1")
+        self.dim = int(dim)
         sigma = float(sigma)
         if not (sigma > 0.0) or not math.isfinite(sigma):
             raise DomainError(f"sigma must be positive and finite, got {sigma}")
@@ -196,10 +173,15 @@ class GaussianIsotropicKernel(TIKernel):
             raise DomainError(f"sigma {sigma} is out of range: 4 sigma^2 = {scale}")
         self.sigma = sigma
 
-    def _eval_batch(self, deltas: np.ndarray) -> np.ndarray:
+    def eval(self, delta):
+        """Kernel value at one displacement, or at a stack of displacements."""
+        deltas, single = as_param_array(delta, self.dim, name="delta")
         sq = np.sum(deltas * deltas, axis=1)
         with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-            return np.exp(-sq / (4.0 * self.sigma**2))
+            vals = np.exp(-sq / (4.0 * self.sigma**2))
+        return float(vals[0]) if single else vals
+
+    __call__ = eval
 
     def cross(self, x, y) -> np.ndarray:
         """Kernel matrix ``kappa(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
@@ -240,9 +222,10 @@ class DiscreteEmbedding:
 
     An atom is the outer product of one Gaussian profile per axis, sampled
     on a tensor-product lattice over ``[lower, upper]`` and normalized to
-    unit Euclidean norm.  ``atom`` raises :class:`TruncationError` when more
-    than ``truncation_tol`` of the atom's norm falls outside the window
-    (measured against the same lattice extended to infinity).
+    unit Euclidean norm.  :meth:`check_window` raises :class:`TruncationError`
+    when more than ``truncation_tol`` of an atom's norm falls outside the
+    window (measured against the same lattice extended to infinity): for
+    ``atom``, ``atoms``, and atom selection's test atom and nodes.
     :meth:`correlation_slabs` correlates a signal with a lattice of atoms
     one axis at a time and one slab of first-axis rows at a time, and
     samples none of them; :meth:`correlations` is its one-slab case and
@@ -349,50 +332,18 @@ class DiscreteEmbedding:
             ratio *= axis_ratio[inverse]
         return 1.0 - np.sqrt(ratio)
 
-    def truncation_deficit(self, theta) -> float:
-        """:meth:`truncation_deficits` of a single parameter vector."""
-        return float(self.truncation_deficits(self._single(theta, "theta")[None, :])[0])
-
-    def _deficit_bounds(self, pts: np.ndarray) -> np.ndarray:
-        """Upper bounds on :meth:`truncation_deficits`, two exponentials per point and axis.
-
-        With ``mass = sigma sqrt(pi) / h`` on an axis of step ``h``, the
-        lattice terms beyond a window edge at distance ``D >= 0`` sum to at
-        most ``mass / 2 * exp(-D^2 / sigma^2)``, and the 9-sigma band sums to
-        at least ``mass - 1`` less its cut-off tails.  A point outside the
-        window, or any point on an axis with ``mass <= 1``, gets the trivial
-        bound 1.
-        """
-        sig = self.kernel.sigma
-        kept = np.ones(pts.shape[0])
-        for a in range(self.dim):
-            mass = sig * math.sqrt(math.pi) / self.steps[a]
-            band = mass - 1.0 - (mass + 2.0) * math.exp(-81.0)
-            if band <= 0.0:
-                return np.ones(pts.shape[0])
-            d_lo = pts[:, a] - self.lower[a]
-            d_hi = self.upper[a] - pts[:, a]
-            out = 0.5 * mass * (np.exp(-(d_lo * d_lo) / sig**2) + np.exp(-(d_hi * d_hi) / sig**2))
-            inside = (d_lo >= 0.0) & (d_hi >= 0.0)
-            kept *= np.where(inside, np.maximum(1.0 - out / band, 0.0), 0.0)
-        return 1.0 - np.sqrt(kept)
-
     def check_window(self, thetas) -> None:
         """Raise :class:`TruncationError` for the first atom the window cuts off.
 
-        Exact deficits are computed only for the points whose
-        :meth:`_deficit_bounds` do not already clear the tolerance.
+        Computes the exact :meth:`truncation_deficits` of every point.
         """
         pts, _ = as_param_array(thetas, self.dim)
-        suspect = np.flatnonzero(self._deficit_bounds(pts) > self.truncation_tol)
-        if not suspect.size:
-            return
-        deficits = self.truncation_deficits(pts[suspect])
+        deficits = self.truncation_deficits(pts)
         over = np.flatnonzero(deficits > self.truncation_tol)
         if over.size:
             i = over[0]
             raise TruncationError(
-                f"atom at theta={pts[suspect[i]].tolist()} loses {deficits[i]:.3e} of its "
+                f"atom at theta={pts[i].tolist()} loses {deficits[i]:.3e} of its "
                 f"norm outside the window (tolerance {self.truncation_tol:g})"
             )
 

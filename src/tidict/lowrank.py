@@ -38,13 +38,15 @@ from .gram import (
     decompose_grid,
     verify_decomposition,
 )
-from .kernels import ParamBox, TIKernel, as_param_array, pad_rows
+from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, pad_rows
 from .raised_cosine import RaisedCosineKernel
 
 __all__ = ["LowRankDictionary", "SelectAtomSettings"]
 
-# points per block in LowRankDictionary.approx_error
+# points per block in LowRankDictionary.approx_error, and seeds per block in select_atom
 _CHUNK = 4096
+# maximizers within this of the best value tie in LowRankDictionary.select_atom
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class SelectAtomSettings:
     num_starts: int = 8
     max_iter: int = 50
     grad_tol: float = 1e-10
-    tie_tol: float = 1e-12
 
 
 class LowRankDictionary:
@@ -69,7 +70,7 @@ class LowRankDictionary:
 
     Parameters
     ----------
-    kernel : TIKernel
+    kernel : GaussianIsotropicKernel
         Exact kernel of the continuous family.
     gram : GramSystem
         Node Gram matrix (factorized) of the family.
@@ -83,7 +84,7 @@ class LowRankDictionary:
 
     def __init__(
         self,
-        kernel: TIKernel,
+        kernel: GaussianIsotropicKernel,
         gram: GramSystem,
         rc: RaisedCosineKernel,
         residual_tol: float = RESIDUAL_TOL,
@@ -110,7 +111,7 @@ class LowRankDictionary:
     @classmethod
     def from_kernel(
         cls,
-        kernel: TIKernel,
+        kernel: GaussianIsotropicKernel,
         grid: NodeGrid,
         residual_tol: float = RESIDUAL_TOL,
         condition_limit: float = CONDITION_LIMIT,
@@ -211,10 +212,11 @@ class LowRankDictionary:
         Seeds a coarse lattice, refines the best seeds by damped projected
         Newton ascent on the trigonometric surrogate (gradient and Hessian
         are analytic), and returns the best maximizer with its value.  The
-        seeds are ranked by one ``np.lexsort``, on the value and then on
-        the coordinates.  Deterministic for fixed inputs; exact ties, among
-        seeds and among maximizers, are broken toward the lexicographically
-        smallest parameter vector.
+        seeds are evaluated ``_CHUNK`` at a time, on blocks padded by
+        :func:`tidict.kernels.pad_rows`, and ranked by one ``np.lexsort``,
+        on the value and then on the coordinates.  Deterministic for fixed
+        inputs; exact ties, among seeds and among maximizers, are broken
+        toward the lexicographically smallest parameter vector.
 
         Returns
         -------
@@ -254,7 +256,10 @@ class LowRankDictionary:
             return float(val), grad, hess
 
         seeds = search.grid(settings.coarse_per_axis)
-        vals = f_batch(seeds)
+        vals = np.empty(seeds.shape[0])
+        for start in range(0, seeds.shape[0], _CHUNK):
+            block = seeds[start : start + _CHUNK]
+            vals[start : start + block.shape[0]] = f_batch(pad_rows(block))[: block.shape[0]]
         # best value first, ties to the lexicographically smallest seed
         order = np.lexsort((*seeds.T[::-1], -vals))
         starts = seeds[order[: settings.num_starts]]
@@ -266,7 +271,7 @@ class LowRankDictionary:
             )
             candidates.append((x, fx))
         best = max(fx for _, fx in candidates)
-        tied = [x for x, fx in candidates if fx >= best - settings.tie_tol]
+        tied = [x for x, fx in candidates if fx >= best - _TIE_TOL]
         tied.sort(key=lambda x: tuple(x))
         theta = tied[0]
         return theta, float(f_batch(theta.reshape(1, -1))[0])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .kernels import DiscreteEmbedding, as_param_array, pad_rows
 
 __all__ = ["multi_indices", "TaylorApproximation"]
@@ -80,8 +80,8 @@ class TaylorApproximation:
 
     Built by :meth:`build`; ``gram`` holds the Gram matrix ``H`` of the
     derivative atoms, one row and column per multi-index in ``alphas``.
-    ``embedding`` only supplies the window whose truncation guard the
-    error evaluation keeps.
+    ``embedding`` supplies only the kernel width ``sigma``: the errors are
+    those of the continuous atoms, and no sampling window enters them.
     """
 
     embedding: DiscreteEmbedding
@@ -96,9 +96,8 @@ class TaylorApproximation:
     ) -> "TaylorApproximation":
         """Derivative Gram matrix of all multi-indices up to ``order`` at ``center``.
 
-        Raises :class:`TruncationError` when the atom at the center loses
-        more than the embedding's tolerated norm fraction to the window, and
-        :class:`DomainError` when the derivative Gram matrix is not finite.
+        Raises :class:`DomainError` when the derivative Gram matrix is not
+        finite.
         """
         c, single = as_param_array(center, embedding.dim, name="center")
         if not single and c.shape[0] != 1:
@@ -107,12 +106,6 @@ class TaylorApproximation:
         order = int(order)
         if order < 0:
             raise DomainError("order must be >= 0")
-        deficit = embedding.truncation_deficit(center_vec)
-        if deficit > embedding.truncation_tol:
-            raise TruncationError(
-                f"expansion center {center_vec.tolist()} loses {deficit:.3e} of its "
-                f"norm outside the window (tolerance {embedding.truncation_tol:g})"
-            )
         alphas = multi_indices(embedding.dim, order)
         # per axis, <d^j a, d^k a> = (-1)^k kappa_1^(j+k)(0)
         #                          = (-1)^j (2 sigma)^-(j+k) H_{j+k}(0)
@@ -182,10 +175,10 @@ class TaylorApproximation:
         the number of points beyond the result.  ``m^T H m`` is one matrix
         product per block, on rows padded by :func:`tidict.kernels.pad_rows`;
         with the BLAS build named there, every point's error is the same
-        bits whatever batch it comes in.  Raises
-        :class:`TruncationError` for the first point whose atom the
-        embedding window cuts off, and :class:`DomainError` when an error
-        is not finite.
+        bits whatever batch it comes in.  The errors are those of the
+        continuous atoms, so a point near or beyond the embedding's window
+        is evaluated like any other.  Raises :class:`DomainError` when an
+        error is not finite.
         """
         pts, _ = as_param_array(thetas, self.dim)
         two_sigma = 2.0 * self.embedding.kernel.sigma
@@ -193,7 +186,6 @@ class TaylorApproximation:
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _CHUNK):
             block = pts[start : start + _CHUNK]
-            self.embedding.check_window(block)
             with np.errstate(over="ignore", invalid="ignore"):
                 x = (block - self.center) / two_sigma
                 # d^n_{theta0} kappa_1(delta) per axis and order, then per index

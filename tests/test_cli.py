@@ -230,6 +230,28 @@ class TestCompareTaylor:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "rank mismatch" in err
 
+    def test_a_narrow_window_changes_no_output(self, tmp_path, capsys):
+        # the window cuts off the atoms at the expansion center [0.5, 1] and
+        # at theta_true, but only select-atom samples or correlates atoms
+        payload = config_2d(
+            evaluation={"resolution": 25},
+            taylor={"order": 2},
+            select_atom={"theta_true": [0.5118216247002567, 1.9009273926518706], "snr_db": 20.0},
+        )
+        wide = write_config(tmp_path, payload, "wide.json")
+        payload["embedding"] = {"lower": [-1.0, -1.0], "upper": [2.0, 3.0], "samples_per_axis": 128}
+        narrow = write_config(tmp_path, payload, "narrow.json")
+        outs = [tmp_path / "wide", tmp_path / "narrow"]
+        for cfg, out in zip((wide, narrow), outs):
+            assert main(["compare-taylor", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("compare.csv", "compare_summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        capsys.readouterr()
+        assert main(["select-atom", "--config", narrow, "--out", str(tmp_path / "select")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "outside the window" in err
+
 
 class TestSelectAtom:
     def test_noiseless_recovery(self, tmp_path):

@@ -153,8 +153,8 @@ class TestDiscreteEmbedding:
 
     def test_truncation_deficit_values(self, gauss1):
         emb = DiscreteEmbedding(gauss1, [-8.0], [8.0], 256)
-        assert emb.truncation_deficit(0.0) < 1e-12
-        assert emb.truncation_deficit(7.9) > 1e-3
+        assert emb.truncation_deficits([[0.0]])[0] < 1e-12
+        assert emb.truncation_deficits([[7.9]])[0] > 1e-3
 
     @pytest.mark.parametrize("chunk", [1 << 20, 1000])
     def test_truncation_deficits_match_loop(self, gauss1, gauss2, rng, monkeypatch, chunk):
@@ -170,7 +170,7 @@ class TestDiscreteEmbedding:
         for emb, thetas in ((emb1, thetas1), (emb2, thetas2)):
             batch = emb.truncation_deficits(thetas)
             ref = np.array([truncation_deficit_loop(emb, t) for t in thetas])
-            single = np.array([emb.truncation_deficit(t) for t in thetas])
+            single = np.array([emb.truncation_deficits(t[None])[0] for t in thetas])
             assert np.any(ref > emb.truncation_tol) and np.any(ref == 0.0)
             assert np.max(np.abs(batch - ref)) <= 1e-15
             assert np.array_equal(batch, single)
@@ -186,7 +186,6 @@ class TestDiscreteEmbedding:
     @pytest.mark.parametrize("tol", [1e-3, 0.4])
     @pytest.mark.parametrize("samples", [5, 40, 400])
     def test_check_window_matches_exact_deficits(self, gauss1, gauss2, samples, tol):
-        # coarse lattices (step >= sigma sqrt(pi)) leave the bound nothing to clear
         offsets = np.concatenate([np.linspace(-2.0, 7.0, 37), [0.0, 1e-12, -1e-12]])
         for kernel, lower, upper in ((gauss1, [-4.0], [6.0]), (gauss2, [-4.0, -3.0], [6.0, 5.0])):
             emb = DiscreteEmbedding(kernel, lower, upper, samples, truncation_tol=tol)
@@ -196,8 +195,6 @@ class TestDiscreteEmbedding:
             thetas = np.tile(mid, (2 * coords.size, 1))
             thetas[: coords.size, 0] = coords
             thetas[coords.size :, -1] = np.concatenate([lo[-1] + offsets, hi[-1] - offsets])
-            bounds = emb._deficit_bounds(thetas)
-            assert np.all(bounds >= emb.truncation_deficits(thetas))
             outcomes = [
                 self._window_outcome(DiscreteEmbedding.check_window, emb, t) for t in thetas
             ]

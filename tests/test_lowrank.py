@@ -240,6 +240,23 @@ class TestBoundedMemory:
         assert self._peak(ld.approx_error, pts) < self.LIMIT
         assert self._peak(taylor.errors, pts) < self.LIMIT
 
+    def test_select_atom_runs_in_bounded_memory(self, rng, monkeypatch):
+        # the 32^3 default coarse seeds against 108 cosine terms: evaluated
+        # at once, their phases, cosines and sines peaked at 55 MiB
+        ld = _gaussian_dictionary(3, (6, 6, 6))
+        projections = rng.normal(size=ld.rank)
+        box = ParamBox([0.0] * 3, [5.0] * 3)
+        tracemalloc.start()
+        try:
+            theta, value = ld.select_atom(projections, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT
+        monkeypatch.setattr(tidict.lowrank, "_CHUNK", 1 << 15)  # all seeds in one block
+        one_block = ld.select_atom(projections, box)
+        assert np.array_equal(theta, one_block[0]) and value == one_block[1]
+
 
 class TestSelectAtom:
     def test_node_target_recovers_node(self, ld6):

@@ -16,7 +16,6 @@ from tidict import (
     DomainError,
     GaussianIsotropicKernel,
     TaylorApproximation,
-    TruncationError,
     multi_indices,
 )
 from tidict.taylor import _hermite
@@ -118,9 +117,11 @@ class TestBuild:
             assert np.max(np.abs(values[:, n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
             assert _hermite(0.0, 38)[n] == pytest.approx(eval_hermite(n, 0.0), rel=1e-14)
 
-    def test_truncation_guard(self, emb1):
-        with pytest.raises(TruncationError):
-            TaylorApproximation.build(emb1, 7.9, 2)
+    def test_a_center_outside_the_window_builds_the_same_gram(self, emb1, gauss1):
+        assert emb1.truncation_deficits([[7.9]])[0] > emb1.truncation_tol
+        wide = DiscreteEmbedding(gauss1, [-38.0], [38.0], 256)
+        narrow, ref = (TaylorApproximation.build(e, 7.9, 2) for e in (emb1, wide))
+        assert np.array_equal(narrow.gram, ref.gram)
 
     def test_overflowing_gram_or_error_raises(self):
         def build(sigma):
@@ -212,12 +213,15 @@ class TestApproximation:
         assert np.max(ref) > 1e3  # far from the center the expansion diverges
         assert np.max(np.abs(taylor.errors(thetas) - ref)) < 1e-6
 
-    def test_errors_raise_for_truncated_point(self, emb1):
-        taylor = TaylorApproximation.build(emb1, 0.0, 2)
-        with pytest.raises(TruncationError, match=r"theta=\[7\.9\]"):
-            taylor.errors([0.0, 1.0, 7.9, 8.5])
-        with pytest.raises(TruncationError):
-            taylor_error(taylor, 7.9)
+    def test_errors_do_not_depend_on_the_window(self, emb1, gauss1):
+        # emb1 cuts off the atoms at 7.9 and 8.5; a window 30 sigma wider on
+        # each side holds them whole
+        wide = DiscreteEmbedding(gauss1, [-38.0], [38.0], 256)
+        thetas = np.array([0.0, 1.0, 7.9, 8.5])
+        assert np.all(emb1.truncation_deficits(thetas)[2:] > emb1.truncation_tol)
+        narrow, ref = (TaylorApproximation.build(e, 0.0, 2).errors(thetas) for e in (emb1, wide))
+        assert np.array_equal(narrow, ref)
+        assert np.all(np.isfinite(narrow))
 
     def test_errors_sample_no_atoms(self, emb2, monkeypatch):
         def fail(*args, **kwargs):
