@@ -158,10 +158,6 @@ class GramSystem:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
-
     def _spectral_rows(self, rows: np.ndarray) -> np.ndarray:
         """``rows G^-1`` from the eigendecomposition alone."""
         v = self._eigvecs
@@ -178,10 +174,6 @@ class GramSystem:
         x = self._spectral_rows(rows)
         x += self._spectral_rows(rows - x @ self.matrix)
         return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``G x = rhs`` for a vector or a stack of columns."""
-        return self.solve_rows(np.asarray(rhs, dtype=float).T).T
 
 
 def build_gram(
@@ -448,13 +440,6 @@ class DecompositionReport:
     residual: float
     psd_margin: float
     ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "psd_margin": self.psd_margin,
-            "ok": self.ok,
-        }
 
 
 def verify_decomposition(

@@ -28,6 +28,8 @@ from .errors import DomainError, TruncationError
 
 # lattice terms summed at once by DiscreteEmbedding.truncation_deficits
 _DEFICIT_CHUNK = 1 << 20
+# rows per block of blocks(), the block rule of every per-point sweep
+_CHUNK = 4096
 # fewest rows pad_rows hands to a matrix product
 _MIN_GEMM_ROWS = 8
 # first-axis rows per slab of DiscreteEmbedding.correlation_slabs, a multiple of _MIN_GEMM_ROWS
@@ -92,6 +94,23 @@ def pad_rows(rows: np.ndarray) -> np.ndarray:
     if short <= 0 or rows.shape[0] == 0:
         return rows
     return np.concatenate([rows, np.repeat(rows[-1:], short, axis=0)])
+
+
+def blocks(out: np.ndarray, *stacks: np.ndarray):
+    """Walk row stacks ``_CHUNK`` rows at a time, alongside their result ``out``.
+
+    Yields ``(dst, *rows)`` per block: ``rows`` holds each stack's block,
+    padded by :func:`pad_rows`, and ``dst`` is that block's slice of
+    ``out``.  The caller writes the first ``len(dst)`` values of its
+    per-row result into ``dst``, so memory does not grow with the number
+    of rows beyond ``out`` and the stacks.  The loop body stays in the
+    caller's frame, so a block's temporaries live until the next block
+    rebinds them, and the allocator reuses their memory rather than
+    returning it to the system between blocks.
+    """
+    for start in range(0, out.shape[0], _CHUNK):
+        stop = start + _CHUNK
+        yield (out[start:stop], *(pad_rows(s[start:stop]) for s in stacks))
 
 
 @dataclass(frozen=True, eq=False)

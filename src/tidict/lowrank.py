@@ -17,9 +17,10 @@ With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  A block of points is solved
 as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`: matrix
 products against the eigenvectors of ``G`` that the Gram system computed
-once.  Blocks shorter than 8 rows are padded (:func:`tidict.kernels.pad_rows`),
-so that, with the BLAS build named there, a point's error and inner
-products are the same bits whatever block it comes in.
+once.  Every sweep takes its points in the padded blocks of
+:func:`tidict.kernels.blocks`: memory does not grow with the points, and,
+with the BLAS build named at :func:`tidict.kernels.pad_rows`, a point's
+error and inner products are the same bits whatever block it comes in.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ from .gram import (
     decompose_grid,
     verify_decomposition,
 )
-from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, pad_rows
+from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, blocks, pad_rows
 from .raised_cosine import RaisedCosineKernel
 
 __all__ = ["LowRankDictionary", "SelectAtomSettings"]
 
-# points per block in LowRankDictionary.approx_error, and seeds per block in select_atom
-_CHUNK = 4096
 # maximizers within this of the best value tie in LowRankDictionary.select_atom
 _TIE_TOL = 1e-12
 
@@ -154,15 +153,17 @@ class LowRankDictionary:
 
         Equals ``rc(theta - theta_prime)`` up to roundoff; computed here
         through the Gram solve so it reflects the actual surrogate.
-        Batched inputs are paired row by row.
+        Batched inputs are paired row by row, and taken in the blocks of
+        :func:`tidict.kernels.blocks`.
         """
         a, single_a = as_param_array(theta, self.dim)
         b, single_b = as_param_array(theta_prime, self.dim)
         if a.shape[0] != b.shape[0]:
             raise DomainError("theta and theta_prime stacks must have equal length")
-        c = self.coefficients(pad_rows(a))
-        cp = self.coefficients(pad_rows(b))
-        vals = np.sum(c * self.gram.solve_rows(cp), axis=1)[: a.shape[0]]
+        vals = np.empty(a.shape[0])
+        for dst, ra, rb in blocks(vals, a, b):
+            c, cp = self.coefficients(ra), self.coefficients(rb)
+            dst[:] = np.sum(c * self.gram.solve_rows(cp), axis=1)[: len(dst)]
         return float(vals[0]) if single_a and single_b else vals
 
     def approx_error(self, theta):
@@ -173,21 +174,18 @@ class LowRankDictionary:
         ``sqrt(1 - 2 <a, a~> + <a~, a~>)``, clipped at zero before the
         square root to absorb roundoff.
 
-        Points are taken ``_CHUNK`` at a time, so memory does not grow with
-        the number of points beyond the result.
+        Points are taken in the blocks of :func:`tidict.kernels.blocks`.
         """
         pts, single = as_param_array(theta, self.dim)
         err = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _CHUNK):
-            block = pts[start : start + _CHUNK]
-            rows = pad_rows(block)
+        for dst, rows in blocks(err, pts):
             c = self.coefficients(rows)
             k = self.kernel.cross(rows, self.nodes)
             solved = self.gram.solve_rows(c)
             approx = np.sum(c * solved, axis=1)
             cross = np.sum(k * solved, axis=1)
             sq = np.clip(1.0 - 2.0 * cross + approx, 0.0, None)
-            err[start : start + block.shape[0]] = np.sqrt(sq[: block.shape[0]])
+            dst[:] = np.sqrt(sq[: len(dst)])
         return float(err[0]) if single else err
 
     # ------------------------------------------------------------------
@@ -212,11 +210,11 @@ class LowRankDictionary:
         Seeds a coarse lattice, refines the best seeds by damped projected
         Newton ascent on the trigonometric surrogate (gradient and Hessian
         are analytic), and returns the best maximizer with its value.  The
-        seeds are evaluated ``_CHUNK`` at a time, on blocks padded by
-        :func:`tidict.kernels.pad_rows`, and ranked by one ``np.lexsort``,
-        on the value and then on the coordinates.  Deterministic for fixed
-        inputs; exact ties, among seeds and among maximizers, are broken
-        toward the lexicographically smallest parameter vector.
+        seeds are evaluated in the blocks of :func:`tidict.kernels.blocks`,
+        and ranked by one ``np.lexsort`` on the value and then on the
+        coordinates.  Deterministic for fixed inputs; exact ties, among
+        seeds and among maximizers, are broken toward the lexicographically
+        smallest parameter vector.
 
         Returns
         -------
@@ -257,9 +255,8 @@ class LowRankDictionary:
 
         seeds = search.grid(settings.coarse_per_axis)
         vals = np.empty(seeds.shape[0])
-        for start in range(0, seeds.shape[0], _CHUNK):
-            block = seeds[start : start + _CHUNK]
-            vals[start : start + block.shape[0]] = f_batch(pad_rows(block))[: block.shape[0]]
+        for dst, rows in blocks(vals, seeds):
+            dst[:] = f_batch(rows)[: len(dst)]
         # best value first, ties to the lexicographically smallest seed
         order = np.lexsort((*seeds.T[::-1], -vals))
         starts = seeds[order[: settings.num_starts]]

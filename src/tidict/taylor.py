@@ -29,12 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import DiscreteEmbedding, as_param_array, pad_rows
+from .kernels import DiscreteEmbedding, as_param_array, blocks
 
 __all__ = ["multi_indices", "TaylorApproximation"]
-
-# points per block in TaylorApproximation.errors
-_CHUNK = 4096
 
 
 def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
@@ -171,11 +168,10 @@ class TaylorApproximation:
     def errors(self, thetas: np.ndarray) -> np.ndarray:
         """Distance between the atom at each point and its Taylor surrogate.
 
-        Points are taken ``_CHUNK`` at a time, so memory does not grow with
-        the number of points beyond the result.  ``m^T H m`` is one matrix
-        product per block, on rows padded by :func:`tidict.kernels.pad_rows`;
-        with the BLAS build named there, every point's error is the same
-        bits whatever batch it comes in.  The errors are those of the
+        Points are taken in the padded blocks of :func:`tidict.kernels.blocks`,
+        and ``m^T H m`` is one matrix product per block; with the BLAS build
+        named at :func:`tidict.kernels.pad_rows`, every point's error is the
+        same bits whatever batch it comes in.  The errors are those of the
         continuous atoms, so a point near or beyond the embedding's window
         is evaluated like any other.  Raises :class:`DomainError` when an
         error is not finite.
@@ -184,25 +180,22 @@ class TaylorApproximation:
         two_sigma = 2.0 * self.embedding.kernel.sigma
         scale = two_sigma ** -np.arange(self.order + 1, dtype=float)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _CHUNK):
-            block = pts[start : start + _CHUNK]
+        for dst, rows in blocks(out, pts):
             with np.errstate(over="ignore", invalid="ignore"):
-                x = (block - self.center) / two_sigma
+                x = (rows - self.center) / two_sigma
                 # d^n_{theta0} kappa_1(delta) per axis and order, then per index
                 deriv = self._products(
                     scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
                 )
-                mono = self.monomials(block)
+                mono = self.monomials(rows)
                 # padded, the product's sums did not depend on the block size (see pad_rows)
-                hm = (pad_rows(mono) @ self.gram)[: block.shape[0]]
-                quad = np.einsum("ij,ij->i", hm, mono)
+                quad = np.einsum("ij,ij->i", mono @ self.gram, mono)
                 sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
-            err = np.sqrt(np.maximum(sq, 0.0))
-            bad = np.flatnonzero(~np.isfinite(err))
+            dst[:] = np.sqrt(np.maximum(sq[: len(dst)], 0.0))
+            bad = np.flatnonzero(~np.isfinite(dst))
             if bad.size:
                 raise DomainError(
-                    f"the Taylor error at theta={block[bad[0]].tolist()} is not finite "
+                    f"the Taylor error at theta={rows[bad[0]].tolist()} is not finite "
                     f"(sigma {self.embedding.kernel.sigma}, order {self.order})"
                 )
-            out[start : start + block.shape[0]] = err
         return out

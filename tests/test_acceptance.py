@@ -273,7 +273,7 @@ def test_09_atom_selection_accuracy():
     clean = embedding.atom(theta_true)
 
     def select(signal):
-        projections = ld.gram.solve(node_atoms @ signal)
+        projections = ld.gram.solve_rows(node_atoms @ signal)
         theta_hat, _ = ld.select_atom(projections, search)
         theta_star, _, diag = fine_grid_argmax(embedding, search, signal, 200)
         return float(np.linalg.norm(theta_hat - theta_star)), diag

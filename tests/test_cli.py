@@ -408,6 +408,20 @@ class TestLatticeArgmax:
         assert tidict.cli._lattice_argmax(emb, np.zeros(emb.size), axes) == ((0, 0), 0.0)
 
 
+# validate's part of the README 2-D 2x3 config, and of the 1-D spacing-0.5 L=20
+# config near the condition limit, with the default 1,000 pairs
+README_2D = {
+    "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 2},
+    "grid": {"origin": [0.0, 0.0], "spacing": 1.0, "counts": [2, 3]},
+    "seed": 1,
+}
+COND_1D = {
+    "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 1},
+    "grid": {"origin": 0.0, "spacing": 0.5, "counts": 20},
+    "seed": 1,
+}
+
+
 class TestValidate:
     def test_passes_on_good_config(self, tmp_path):
         cfg = write_config(tmp_path, config_1d())
@@ -479,6 +493,16 @@ class TestValidate:
         assert list(structure) == keys + ["issues"]
         assert len(structure["issues"]) == structure["value"] > 0
         assert all(list(c) == keys for c in rest)
+
+    @pytest.mark.parametrize("payload", [README_2D, COND_1D], ids=["readme-2d", "cond-1d"])
+    def test_report_does_not_depend_on_the_block(self, tmp_path, monkeypatch, payload):
+        # 1,000 pairs in one block, and in ten blocks of 97 and one of 30
+        cfg = write_config(tmp_path, payload)
+        code = main(["validate", "--config", cfg, "--out", str(tmp_path / "one")])
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "many")]) == code
+        report = "validate_report.json"
+        assert (tmp_path / "many" / report).read_bytes() == (tmp_path / "one" / report).read_bytes()
 
 
     @pytest.mark.parametrize(

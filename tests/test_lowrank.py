@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import tidict.lowrank
-import tidict.taylor
+import tidict.kernels
 from tidict import (
     DiscreteEmbedding,
     DomainError,
@@ -153,7 +152,7 @@ class TestInnerProducts:
             ld6.approx_inner(np.zeros((3, 1)), np.zeros((4, 1)))
 
     @pytest.mark.parametrize("dim, counts", [(1, (20,)), (1, (6,)), (2, (2, 3)), (2, (3, 4)), (3, (6, 6, 6))])
-    def test_inner_of_a_lone_pair_equals_the_batch(self, dim, counts):
+    def test_inner_of_a_lone_pair_equals_the_batch(self, monkeypatch, dim, counts):
         ld = _gaussian_dictionary(dim, counts)
         n = 100 if counts == (6, 6, 6) else 200  # the 108-term kernel is slow
         a, b = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(2, n, dim))
@@ -164,6 +163,9 @@ class TestInnerProducts:
         for size in range(1, 10):
             blocks = [ld.approx_inner(a[i : i + size], b[i : i + size]) for i in range(0, n, size)]
             assert np.array_equal(np.concatenate(blocks), want), size
+        for chunk in range(1, 10):
+            monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
+            assert np.array_equal(ld.approx_inner(a, b), want), chunk
 
 
 class TestApproxError:
@@ -194,7 +196,7 @@ class TestApproxError:
         thetas = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(23, dim))
         want = ld.approx_error(thetas)
         for chunk in range(1, 10):
-            monkeypatch.setattr(tidict.lowrank, "_CHUNK", chunk)
+            monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
             assert np.array_equal(ld.approx_error(thetas), want), chunk
         single = [ld.approx_error(t if dim > 1 else t[0]) for t in thetas]
         assert np.array_equal(single, want)
@@ -240,6 +242,19 @@ class TestBoundedMemory:
         assert self._peak(ld.approx_error, pts) < self.LIMIT
         assert self._peak(taylor.errors, pts) < self.LIMIT
 
+    def test_approx_inner_runs_in_bounded_memory(self, rng):
+        # 1e4 pairs against 108 cosine terms: in one block, their phases,
+        # cosines and sines against the 216 nodes peaked at 99 MiB
+        ld = _gaussian_dictionary(3, (6, 6, 6))
+        a, b = rng.uniform(0.0, 5.0, size=(2, 10_000, 3))
+        tracemalloc.start()
+        try:
+            ld.approx_inner(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_select_atom_runs_in_bounded_memory(self, rng, monkeypatch):
         # the 32^3 default coarse seeds against 108 cosine terms: evaluated
         # at once, their phases, cosines and sines peaked at 55 MiB
@@ -253,7 +268,7 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.LIMIT
-        monkeypatch.setattr(tidict.lowrank, "_CHUNK", 1 << 15)  # all seeds in one block
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 1 << 15)  # all seeds in one block
         one_block = ld.select_atom(projections, box)
         assert np.array_equal(theta, one_block[0]) and value == one_block[1]
 
@@ -279,7 +294,7 @@ class TestSelectAtom:
         target = np.array([0.37, 0.81])
         signal = emb2.atom(target)
         node_atoms = emb2.atoms(ld23.nodes)
-        projections = ld23.gram.solve(node_atoms @ signal)
+        projections = ld23.gram.solve_rows(node_atoms @ signal)
         box = ParamBox([0.0, 0.0], [1.0, 2.0])
         theta, _ = ld23.select_atom(projections, box)
         oracle, _, cell = fine_grid_argmax(emb2, box, signal, 200)
@@ -355,7 +370,7 @@ class TestRankProperty:
         box = ParamBox([0.0, 0.0], [1.0, 2.0])
         pts = box.sample(rng, 2 * ld23.rank)
         coeff = ld23.coefficients(pts)
-        inner = coeff @ ld23.gram.solve(coeff.T)
+        inner = coeff @ ld23.gram.solve_rows(coeff).T
         svals = np.linalg.svd(inner, compute_uv=False)
         assert svals[ld23.rank - 1] > 1e-8  # full surrogate rank is used
         assert svals[ld23.rank] < 1e-8  # and nothing beyond it

@@ -20,6 +20,9 @@ LAYERS = (
     "taylor.build",
     "taylor.errors",
     "lowrank.approx_error",
+    "lowrank.approx_inner",
+    "raised_cosine.eval",
+    "lowrank.select_atom",
 )
 
 
@@ -32,4 +35,10 @@ def test_a_traced_readme_2d_pass_spans_every_layer(tmp_path):
     assert bench.problems == []
     spans = Counter(s.name for s in tracer.spans)
     assert all(spans[name] > 0 for name in LAYERS), spans
-    assert sum(s.work for s in tracer.spans if s.name == "taylor.errors") > 0
+    work = Counter()
+    for s in tracer.spans:
+        work[s.name] += s.work
+    assert work["taylor.errors"] > 0
+    # validate's default 1,000 pairs: one kernel reference and two approx_inner sweeps
+    assert work["raised_cosine.eval"] == 1000
+    assert work["lowrank.approx_inner"] == 2000

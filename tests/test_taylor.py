@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_hermite
 
-import tidict.taylor
+import tidict.kernels
 from oracles import (
     sampled_axis_derivatives,
     sampled_taylor_basis,
@@ -164,7 +164,7 @@ class TestApproximation:
         assert e2 / e1 == pytest.approx(8.0, rel=0.15)
 
     def test_errors_batch_matches_scalar(self, emb2, rng, monkeypatch):
-        monkeypatch.setattr(tidict.taylor, "_CHUNK", 3)
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 3)
         taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
         thetas = rng.uniform(-0.5, 0.5, size=(7, 2))
         batch = taylor.errors(thetas)
@@ -183,7 +183,7 @@ class TestApproximation:
         for taylor, thetas in cases:
             want = taylor.errors(thetas)
             for chunk in range(1, 10):
-                monkeypatch.setattr(tidict.taylor, "_CHUNK", chunk)
+                monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
                 assert np.array_equal(taylor.errors(thetas), want)
             monkeypatch.undo()
 
