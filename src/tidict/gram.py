@@ -18,12 +18,12 @@ conditioned on [-1, 1], where all roots must lie.  For odd ``L`` the
 constant term is removed first by differencing ``(S - I) g``, which keeps
 the remaining root count at ``K = floor(L / 2)``.
 
-Multi-dimensional grids are handled separably: each axis is decomposed on
-its own, then the product of per-axis kernels is expanded into a flat
-cosine sum as the Kronecker product of the per-axis spectra.  The resulting
-term count again satisfies ``K = floor(L / 2)`` with ``L`` the total node
-count, and the Gram matrix is the Kronecker product of the per-axis
-Toeplitz factors.
+Nodes are a :class:`NodeGrid`, handled separably: each axis is decomposed
+on its own, then the product of the axis kernels is expanded into a flat
+cosine sum, the Kronecker product of the axis spectra; a 1-D grid is the
+one-axis case.  The resulting term count again satisfies ``K = floor(L / 2)``
+with ``L`` the total node count, and the Gram matrix is the Kronecker
+product of the per-axis Toeplitz factors.
 """
 
 from __future__ import annotations
@@ -178,43 +178,28 @@ class GramSystem:
 
 def build_gram(
     kernel: GaussianIsotropicKernel,
-    nodes,
+    grid: NodeGrid,
     condition_limit: float = CONDITION_LIMIT,
 ) -> GramSystem:
-    """Assemble the Gram matrix of the atoms at the given nodes.
+    """Assemble the Gram matrix of the atoms at the nodes of ``grid``.
 
-    Parameters
-    ----------
-    kernel : GaussianIsotropicKernel
-        Translation-invariant kernel of the atom family.
-    nodes : NodeGrid or array_like, shape (L, dim)
-        Interpolation nodes.  Passing a :class:`NodeGrid` computes all
-        displacements from integer index differences, which makes the
-        Toeplitz (1-D) and Kronecker-of-Toeplitz (separable multi-D)
-        structure of the result exact rather than approximate.
-    condition_limit : float
-        Raise :class:`IllConditionedError` beyond this condition number.
+    Displacements come from integer index differences, which makes the
+    Toeplitz (1-D) and Kronecker-of-Toeplitz (multi-D) structure of the
+    result exact.  Nodes that are not a :class:`NodeGrid` raise
+    :class:`TypeError`; a condition number beyond ``condition_limit``
+    raises :class:`IllConditionedError`.
     """
-    if isinstance(nodes, NodeGrid):
-        if nodes.dim != kernel.dim:
-            raise DomainError(
-                f"grid dimension {nodes.dim} != kernel dimension {kernel.dim}"
-            )
-        idx = nodes.indices
-        delta = (idx[:, None, :] - idx[None, :, :]) * nodes.spacing
-        pts = nodes.nodes
-    else:
-        pts = np.asarray(nodes, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[1] != kernel.dim:
-            raise DomainError(
-                f"nodes must have shape (L, {kernel.dim}), got {pts.shape}"
-            )
-        delta = pts[:, None, :] - pts[None, :, :]
-    L = pts.shape[0]
+    if not isinstance(grid, NodeGrid):
+        raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
+    if grid.dim != kernel.dim:
+        raise DomainError(
+            f"grid dimension {grid.dim} != kernel dimension {kernel.dim}"
+        )
+    idx = grid.indices
+    delta = (idx[:, None, :] - idx[None, :, :]) * grid.spacing
+    L = grid.size
     matrix = kernel.eval(delta.reshape(L * L, kernel.dim)).reshape(L, L)
-    return GramSystem(matrix, pts, condition_limit)
+    return GramSystem(matrix, grid.nodes, condition_limit)
 
 
 def _cheb_annihilator(y: np.ndarray, degree: int) -> np.ndarray:
@@ -368,6 +353,7 @@ def decompose_gram_separable(
     rank equal to the product of the axis ranks; if it fails the structural
     invariants of :meth:`RaisedCosineKernel.validate` (for instance because
     axis frequencies collide), :class:`NoValidDecomposition` is raised.
+    One axis gives back its kernel, as ``2 (lambda_k / 2) = lambda_k``.
     """
     if len(per_axis) == 0:
         raise DomainError("need at least one axis kernel")
@@ -406,10 +392,10 @@ def decompose_grid(
 ) -> RaisedCosineKernel:
     """Raised-cosine kernel matching ``kernel`` on all node differences of ``grid``.
 
-    For one-dimensional grids this is :func:`decompose_gram_1d` on the Gram
-    first row; in higher dimensions each axis is decomposed separately
-    (valid for kernels that factor over axes, such as the isotropic
-    Gaussian) and the factors are expanded with :func:`decompose_gram_separable`.
+    Each axis is decomposed by :func:`decompose_gram_1d` on its Gram first
+    row (valid for kernels that factor over axes, such as the isotropic
+    Gaussian), and the factors are expanded with
+    :func:`decompose_gram_separable`, a 1-D grid as its one-axis case.
     """
     if grid.dim != kernel.dim:
         raise DomainError(
@@ -422,8 +408,6 @@ def decompose_grid(
         deltas[:, a] = m * grid.spacing[a]
         row = np.atleast_1d(kernel.eval(deltas))
         axis_kernels.append(decompose_gram_1d(row, grid.spacing[a], residual_tol))
-    if grid.dim == 1:
-        return axis_kernels[0]
     return decompose_gram_separable(axis_kernels)
 
 

@@ -79,16 +79,16 @@ def pad_rows(rows: np.ndarray) -> np.ndarray:
 
     numpy hands a lone row to the BLAS vector routines, and OpenBLAS may
     sum a block of a few rows in another order than a larger block: against
-    a transposed 108-column operand, blocks of up to 5 rows did.  From 8
-    rows on, each C-contiguous row got the bits it gets inside any larger
-    block.  Callers pad a block before its matrix products and keep the
-    first ``rows.shape[0]`` rows of the result.
+    a transposed 108-column operand, blocks of up to 5 rows did.  Callers
+    pad a block before its matrix products and keep the first
+    ``rows.shape[0]`` rows of the result.
 
-    The bound of 8 was measured on one build only: OpenBLAS 0.3.31
-    (``DYNAMIC_ARCH``) on an AVX-512 Xeon, with one and with two threads.
-    Another BLAS, CPU kernel or thread count may split the rows of a
-    product otherwise, so the padding is not a guarantee that a row's bits
-    do not depend on its block.
+    Measured on OpenBLAS 0.3.31 (``DYNAMIC_ARCH``) on an AVX-512 Xeon:
+    padded, a row's errors got the same bits in any block of up to 4,096
+    rows for L = 6, 12 and 216 nodes, but not for L = 18, 20 or 32, whose
+    products change their summation once a block is long enough (for
+    ``(n, 20) @ (20, 20)`` from n = 2,504).  So the padding is not a
+    guarantee that a row's bits do not depend on its block.
     """
     short = _MIN_GEMM_ROWS - rows.shape[0]
     if short <= 0 or rows.shape[0] == 0:
@@ -159,7 +159,7 @@ class ParamBox:
         """Regular evaluation lattice over the box, shape ``(prod(points), dim)``.
 
         Rows are emitted in row-major order (last axis fastest), endpoints
-        included.
+        included, so they are in lexicographic order.
         """
         counts = np.broadcast_to(np.asarray(points_per_axis, dtype=int), (self.dim,))
         if np.any(counts < 1):

@@ -17,10 +17,10 @@ With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  A block of points is solved
 as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`: matrix
 products against the eigenvectors of ``G`` that the Gram system computed
-once.  Every sweep takes its points in the padded blocks of
-:func:`tidict.kernels.blocks`: memory does not grow with the points, and,
-with the BLAS build named at :func:`tidict.kernels.pad_rows`, a point's
-error and inner products are the same bits whatever block it comes in.
+once.  Every sweep takes its points in the fixed, padded blocks of
+:func:`tidict.kernels.blocks`: memory does not grow with the points, and
+results are deterministic, though a point's last bits may depend on its
+block (see :func:`tidict.kernels.pad_rows`).
 """
 
 from __future__ import annotations
@@ -211,10 +211,10 @@ class LowRankDictionary:
         Newton ascent on the trigonometric surrogate (gradient and Hessian
         are analytic), and returns the best maximizer with its value.  The
         seeds are evaluated in the blocks of :func:`tidict.kernels.blocks`,
-        and ranked by one ``np.lexsort`` on the value and then on the
-        coordinates.  Deterministic for fixed inputs; exact ties, among
-        seeds and among maximizers, are broken toward the lexicographically
-        smallest parameter vector.
+        and ranked by one stable sort on the value, keeping the lexicographic
+        order of :meth:`ParamBox.grid` among ties.  Deterministic for fixed
+        inputs; exact ties, among seeds and among maximizers, are broken
+        toward the lexicographically smallest parameter vector.
 
         Returns
         -------
@@ -257,8 +257,8 @@ class LowRankDictionary:
         vals = np.empty(seeds.shape[0])
         for dst, rows in blocks(vals, seeds):
             dst[:] = f_batch(rows)[: len(dst)]
-        # best value first, ties to the lexicographically smallest seed
-        order = np.lexsort((*seeds.T[::-1], -vals))
+        # best value first; the seeds are lexicographic, so ties go to the smallest
+        order = np.argsort(-vals, kind="stable")
         starts = seeds[order[: settings.num_starts]]
 
         candidates = []

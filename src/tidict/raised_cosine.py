@@ -169,11 +169,7 @@ class RaisedCosineKernel:
             out = np.concatenate([head, out], axis=1)
         return out[0] if single else out
 
-    def validate(
-        self,
-        weight_tol: float = WEIGHT_PRUNE_TOL,
-        freq_tol: float = FREQ_DISTINCT_TOL,
-    ) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Check the structural invariants tying the kernel to its rank.
 
         Verifies the term count ``K = floor(rank / 2)``, the parity rule for
@@ -187,12 +183,12 @@ class RaisedCosineKernel:
                 f"term count {self.num_terms} != floor(rank/2) = {k_expected}"
             )
         if self.rank % 2 == 0:
-            if abs(self.lambda0) > weight_tol:
+            if abs(self.lambda0) > WEIGHT_PRUNE_TOL:
                 issues.append(
                     f"even rank {self.rank} requires lambda0 = 0, got {self.lambda0:.3e}"
                 )
         else:
-            if not self.lambda0 > weight_tol:
+            if not self.lambda0 > WEIGHT_PRUNE_TOL:
                 issues.append(
                     f"odd rank {self.rank} requires lambda0 > 0, got {self.lambda0:.3e}"
                 )
@@ -205,7 +201,7 @@ class RaisedCosineKernel:
                 np.linalg.norm(rest - self.freqs[i], axis=1),
                 np.linalg.norm(rest + self.freqs[i], axis=1),
             )
-            for j in np.flatnonzero(d < freq_tol):
+            for j in np.flatnonzero(d < FREQ_DISTINCT_TOL):
                 issues.append(
                     f"frequencies {i} and {i + 1 + j} coincide up to sign "
                     f"(distance {d[j]:.3e})"

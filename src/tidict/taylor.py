@@ -169,9 +169,9 @@ class TaylorApproximation:
         """Distance between the atom at each point and its Taylor surrogate.
 
         Points are taken in the padded blocks of :func:`tidict.kernels.blocks`,
-        and ``m^T H m`` is one matrix product per block; with the BLAS build
-        named at :func:`tidict.kernels.pad_rows`, every point's error is the
-        same bits whatever batch it comes in.  The errors are those of the
+        and ``m^T H m`` is one matrix product per block; whether a point's
+        bits depend on its block is up to the BLAS (see
+        :func:`tidict.kernels.pad_rows`).  The errors are those of the
         continuous atoms, so a point near or beyond the embedding's window
         is evaluated like any other.  Raises :class:`DomainError` when an
         error is not finite.
@@ -188,7 +188,7 @@ class TaylorApproximation:
                     scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
                 )
                 mono = self.monomials(rows)
-                # padded, the product's sums did not depend on the block size (see pad_rows)
+                # padded, a short block sums like a longer one (see pad_rows)
                 quad = np.einsum("ij,ij->i", mono @ self.gram, mono)
                 sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
             dst[:] = np.sqrt(np.maximum(sq[: len(dst)], 0.0))

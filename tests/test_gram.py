@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -64,11 +65,10 @@ class TestBuildGram:
         g_b = build_gram(k1, NodeGrid([0.0], [1.0], [3])).matrix
         assert np.max(np.abs(gram.matrix - np.kron(g_a, g_b))) < 1e-14
 
-    def test_general_nodes(self, gauss2):
+    def test_node_array_is_refused(self, gauss2):
         nodes = np.array([[0.0, 0.0], [0.3, 1.1], [2.0, -0.4]])
-        gram = build_gram(gauss2, nodes)
-        assert np.allclose(np.diag(gram.matrix), 1.0)
-        assert np.array_equal(gram.matrix, gram.matrix.T)
+        with pytest.raises(TypeError, match="NodeGrid"):
+            build_gram(gauss2, nodes)
 
     def test_solve_and_inverse(self, gauss1, rng):
         gram = build_gram(gauss1, NodeGrid([0.0], [1.0], [5]))
@@ -314,6 +314,23 @@ class TestDecompose1D:
 
 
 class TestDecomposeSeparable:
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.7])
+    def test_one_axis_expansion_is_the_axis_kernel(self, sigma, spacing):
+        # a 1-D grid goes through the product expansion too, which must give
+        # back the axis kernel unchanged: lambda_k / 2 doubled is lambda_k
+        kernel = GaussianIsotropicKernel(sigma=sigma, dim=1)
+        for L in range(1, 26):
+            grid = NodeGrid([0.0], [spacing], [L])
+            try:
+                axis = decompose_gram_1d(kernel.eval(spacing * np.arange(L)), spacing)
+            except NoValidDecomposition:
+                with pytest.raises(NoValidDecomposition):
+                    decompose_grid(kernel, grid)
+                continue
+            got = decompose_grid(kernel, grid).to_dict()
+            assert json.dumps(got) == json.dumps(axis.to_dict()), L
+
     def test_2d_frozen_values(self, gauss2, grid23):
         rc = decompose_grid(gauss2, grid23)
         assert rc.rank == 6 and rc.num_terms == 3

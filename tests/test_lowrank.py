@@ -22,7 +22,6 @@ from tidict import (
 from oracles import (
     box_contains,
     embedded_errors,
-    embedded_surrogate_atoms,
     fine_grid_argmax,
     gram_inverse,
 )
