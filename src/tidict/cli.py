@@ -35,7 +35,7 @@ from .errors import (
     NoValidDecomposition,
     TruncationError,
 )
-from .gram import build_gram, decompose_grid
+from .gram import build_gram
 from .kernels import blocks
 from .lowrank import LowRankDictionary
 from .raised_cosine import RaisedCosineKernel
@@ -71,18 +71,14 @@ def _theta_header(dim: int) -> list[str]:
 def _build_dictionary(
     cfg: ExperimentConfig, rc: RaisedCosineKernel | None = None, check: bool = True
 ) -> LowRankDictionary:
-    """The dictionary of the config's node grid, every subcommand's build path.
+    """The dictionary of the config's node grid, with the config's tolerances.
 
-    ``rc`` replaces the freshly decomposed raised-cosine kernel; ``check``
-    is passed on to :class:`LowRankDictionary`.
+    ``rc`` and ``check`` are passed on to :class:`LowRankDictionary`, which
+    decomposes the grid when no ``rc`` is given.
     """
     tol = cfg.tolerances
     gram = build_gram(cfg.kernel, cfg.grid, condition_limit=tol.condition_limit)
-    if rc is None:
-        rc = decompose_grid(cfg.kernel, cfg.grid, residual_tol=tol.residual)
-    return LowRankDictionary(
-        cfg.kernel, gram, rc, residual_tol=tol.residual, check=check
-    )
+    return LowRankDictionary(cfg.kernel, gram, rc, residual_tol=tol.residual, check=check)
 
 
 def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:
@@ -197,14 +193,11 @@ def cmd_select_atom(cfg: ExperimentConfig, out: Path, args) -> int:
         signal *= 10.0 ** (-sel.snr_db / 20.0) / np.linalg.norm(signal)
     emb.add_atom(signal, sel.theta_true)
     emb.check_window(ld.nodes)
-    # the coordinates of ld.nodes on each axis, with the same bits
-    grid = cfg.grid
-    node_axes = [grid.origin[a] + np.arange(c) * grid.spacing[a] for a, c in enumerate(grid.counts)]
-    projections = ld.gram.solve_rows(emb.correlations(signal, node_axes).ravel())
+    projections = ld.gram.solve_rows(emb.correlations(signal, ld.grid.axes).ravel())
     theta_hat, value = ld.select_atom(projections, sel.search, sel.settings)
 
     box, n = sel.search, sel.oracle_per_axis
-    oracle_axes = [np.linspace(box.lower[a], box.upper[a], n) for a in range(emb.dim)]
+    oracle_axes = box.axes(n)
     best, oracle_value = _lattice_argmax(emb, signal, oracle_axes)
     theta_star = np.array([oracle_axes[a][i] for a, i in enumerate(best)])
     cell_diag = float(np.linalg.norm((box.upper - box.lower) / (n - 1)))

@@ -18,12 +18,13 @@ conditioned on [-1, 1], where all roots must lie.  For odd ``L`` the
 constant term is removed first by differencing ``(S - I) g``, which keeps
 the remaining root count at ``K = floor(L / 2)``.
 
-Nodes are a :class:`NodeGrid`, handled separably: each axis is decomposed
-on its own, then the product of the axis kernels is expanded into a flat
-cosine sum, the Kronecker product of the axis spectra; a 1-D grid is the
-one-axis case.  The resulting term count again satisfies ``K = floor(L / 2)``
-with ``L`` the total node count, and the Gram matrix is the Kronecker
-product of the per-axis Toeplitz factors.
+Nodes are a :class:`NodeGrid`, the one record of their layout, which the
+:class:`GramSystem` keeps.  They are handled separably: each axis is
+decomposed on its own, then the product of the axis kernels is expanded
+into a flat cosine sum, the Kronecker product of the axis spectra; a 1-D
+grid is the one-axis case.  The resulting term count again satisfies
+``K = floor(L / 2)`` with ``L`` the total node count, and the Gram matrix
+is the Kronecker product of the per-axis Toeplitz factors.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
-from .kernels import GaussianIsotropicKernel
+from .kernels import GaussianIsotropicKernel, lattice
 from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_PRUNE_TOL, RaisedCosineKernel
 
 __all__ = [
@@ -63,9 +64,9 @@ class NodeGrid:
     """Regular lattice of interpolation nodes.
 
     ``origin`` is the first node, ``spacing`` the positive step per axis and
-    ``counts`` the number of nodes per axis.  Nodes are ordered row-major
-    (the last axis varies fastest), matching the Kronecker ordering of the
-    Gram factors.
+    ``counts`` the number of nodes per axis.  :attr:`nodes` is the
+    :func:`lattice` of :attr:`axes`: row-major (the last axis varies
+    fastest), matching the Kronecker ordering of the Gram factors.
     """
 
     origin: np.ndarray
@@ -99,15 +100,17 @@ class NodeGrid:
         return int(np.prod(self.counts))
 
     @cached_property
-    def indices(self) -> np.ndarray:
-        """Integer multi-indices of all nodes, shape ``(size, dim)``, row-major."""
-        mesh = np.meshgrid(*[np.arange(c) for c in self.counts], indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+    def axes(self) -> tuple:
+        """Node coordinates on each axis, ``origin + m * spacing`` for ``m < counts``."""
+        return tuple(
+            self.origin[a] + np.arange(c) * self.spacing[a]
+            for a, c in enumerate(self.counts)
+        )
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        """Node coordinates, shape ``(size, dim)``."""
-        return self.origin + self.indices * self.spacing
+        """Node coordinates, shape ``(size, dim)``: the :func:`lattice` of :attr:`axes`."""
+        return lattice(self.axes)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         upper = self.origin + (np.array(self.counts) - 1) * self.spacing
@@ -117,7 +120,8 @@ class NodeGrid:
 class GramSystem:
     """A positive definite node Gram matrix and its eigendecomposition.
 
-    Wraps ``G[i, j] = kappa(theta_i - theta_j)`` together with the
+    Wraps ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of
+    ``grid``, the :class:`NodeGrid` it was built on, together with the
     machinery needed downstream.  ``G = V diag(lam) V^T`` is computed once,
     at construction; it gives the 2-norm condition number
     ``lam_max / lam_min`` (``inf`` when ``G`` is not positive definite) and
@@ -130,16 +134,16 @@ class GramSystem:
     def __init__(
         self,
         matrix: np.ndarray,
-        nodes: np.ndarray,
+        grid: NodeGrid,
         condition_limit: float = CONDITION_LIMIT,
     ):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DomainError("Gram matrix must be square")
-        if matrix.shape[0] != nodes.shape[0]:
+        if matrix.shape[0] != grid.size:
             raise DomainError("node count does not match Gram size")
         self.matrix = matrix
-        self.nodes = np.asarray(nodes, dtype=float)
+        self.grid = grid
         if not np.all(np.isfinite(matrix)):
             raise IllConditionedError("Gram matrix has non-finite entries")
         eigvals, self._eigvecs = np.linalg.eigh(matrix)
@@ -157,6 +161,10 @@ class GramSystem:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.grid.nodes
 
     def _spectral_rows(self, rows: np.ndarray) -> np.ndarray:
         """``rows G^-1`` from the eigendecomposition alone."""
@@ -195,11 +203,11 @@ def build_gram(
         raise DomainError(
             f"grid dimension {grid.dim} != kernel dimension {kernel.dim}"
         )
-    idx = grid.indices
+    idx = lattice([np.arange(c) for c in grid.counts])
     delta = (idx[:, None, :] - idx[None, :, :]) * grid.spacing
     L = grid.size
     matrix = kernel.eval(delta.reshape(L * L, kernel.dim)).reshape(L, L)
-    return GramSystem(matrix, grid.nodes, condition_limit)
+    return GramSystem(matrix, grid, condition_limit)
 
 
 def _cheb_annihilator(y: np.ndarray, degree: int) -> np.ndarray:
@@ -415,25 +423,19 @@ def decompose_grid(
 class DecompositionReport:
     """Quality of a raised-cosine fit to a Gram matrix.
 
-    ``residual`` is the worst absolute mismatch over all node pairs,
+    ``residual`` is the worst absolute mismatch over all node pairs, and
     ``psd_margin`` the smallest eigenvalue of the raised-cosine Gram (it
-    should be nonnegative up to roundoff), and ``ok`` whether the residual
-    is within tolerance and the margin above ``-PSD_TOL``.
+    should be nonnegative up to roundoff).  Callers judge them against
+    their own tolerances.
     """
 
     residual: float
     psd_margin: float
-    ok: bool
 
 
-def verify_decomposition(
-    gram: GramSystem,
-    rc: RaisedCosineKernel,
-    residual_tol: float = RESIDUAL_TOL,
-) -> DecompositionReport:
-    """Check that ``rc`` reproduces the Gram matrix on its node differences."""
+def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> DecompositionReport:
+    """Measure how well ``rc`` reproduces the Gram matrix on its node differences."""
     rc_gram = rc.cross(gram.nodes, gram.nodes)
     residual = float(np.max(np.abs(rc_gram - gram.matrix)))
     psd_margin = float(np.linalg.eigvalsh(0.5 * (rc_gram + rc_gram.T))[0])
-    ok = residual <= residual_tol and psd_margin >= -PSD_TOL
-    return DecompositionReport(residual=residual, psd_margin=psd_margin, ok=ok)
+    return DecompositionReport(residual=residual, psd_margin=psd_margin)

@@ -12,13 +12,13 @@ never touch explicit atom vectors.  :class:`DiscreteEmbedding` is the one
 place where atoms are sampled or correlated with a sampled signal: atom
 selection's test atom, node projections and fine-grid oracle, oracles and
 demos.  Its window check guards only those atoms; the closed-form errors
-of the surrogate and of the Taylor baseline read no window.
+of the surrogate and of the Taylor baseline read no window.  Node grids
+and evaluation grids alike are laid out by :func:`lattice`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +40,7 @@ __all__ = [
     "GaussianIsotropicKernel",
     "DiscreteEmbedding",
     "as_param_array",
+    "lattice",
 ]
 
 
@@ -113,6 +114,15 @@ def blocks(out: np.ndarray, *stacks: np.ndarray):
         yield (out[start:stop], *(pad_rows(s[start:stop]) for s in stacks))
 
 
+def lattice(axes) -> np.ndarray:
+    """Points of the lattice ``axes[0] x ... x axes[d-1]``, shape ``(prod(len), d)``.
+
+    Row-major (the last axis varies fastest), with the coordinates' bits.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class ParamBox:
     """Axis-aligned box of admissible parameter vectors.
@@ -155,21 +165,19 @@ class ParamBox:
         """Draw ``n`` uniform parameter vectors, shape ``(n, dim)``."""
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
-    def grid(self, points_per_axis) -> np.ndarray:
-        """Regular evaluation lattice over the box, shape ``(prod(points), dim)``.
-
-        Rows are emitted in row-major order (last axis fastest), endpoints
-        included, so they are in lexicographic order.
-        """
+    def axes(self, points_per_axis) -> list[np.ndarray]:
+        """Evenly spaced coordinates on each axis, endpoints included, ascending."""
         counts = np.broadcast_to(np.asarray(points_per_axis, dtype=int), (self.dim,))
         if np.any(counts < 1):
             raise DomainError("points_per_axis must be >= 1")
-        axes = [
+        return [
             np.linspace(self.lower[a], self.upper[a], int(counts[a]))
             for a in range(self.dim)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def grid(self, points_per_axis) -> np.ndarray:
+        """The :func:`lattice` of :meth:`axes`, so its rows are in lexicographic order."""
+        return lattice(self.axes(points_per_axis))
 
 
 class GaussianIsotropicKernel:
@@ -247,8 +255,8 @@ class DiscreteEmbedding:
     ``atom``, ``atoms``, and atom selection's test atom and nodes.
     :meth:`correlation_slabs` correlates a signal with a lattice of atoms
     one axis at a time and one slab of first-axis rows at a time, and
-    samples none of them; :meth:`correlations` is its one-slab case and
-    :meth:`atoms` their reference.  :meth:`add_atom` adds an atom into a
+    samples none of them; :meth:`correlations` stacks its slabs, and
+    :meth:`atoms` is their reference.  :meth:`add_atom` adds an atom into a
     signal tensor in place, so that atom selection holds one signal
     tensor plus one slab.
 
@@ -291,10 +299,8 @@ class DiscreteEmbedding:
 
     @cached_property
     def axes(self) -> tuple:
-        return tuple(
-            np.linspace(self.lower[a], self.upper[a], self.samples_per_axis[a])
-            for a in range(self.dim)
-        )
+        """Sample coordinates on each axis: ``ParamBox.axes`` of the window."""
+        return tuple(ParamBox(self.lower, self.upper).axes(self.samples_per_axis))
 
     @cached_property
     def steps(self) -> np.ndarray:
@@ -415,13 +421,12 @@ class DiscreteEmbedding:
         for start in range(0, first.shape[0], _SLAB_ROWS):
             rows[start : start + _SLAB_ROWS] += np.multiply.outer(first[start : start + _SLAB_ROWS], rest)
 
-    def correlation_slabs(self, signal, axes, rows: int | None = None):
+    def correlation_slabs(self, signal, axes):
         """Yield ``(start, slab)``: ``<a(theta), signal>`` on first-axis rows ``start:start + len(slab)``.
 
         The slabs stack to the tensor of shape ``(len(axes[0]), ...)`` over
-        the lattice ``axes[0] x ... x axes[d-1]``, row-major like
-        ``NodeGrid.nodes``.  Each slab is ``rows`` first-axis rows high
-        (default ``_SLAB_ROWS``), and a tail shorter than ``_MIN_GEMM_ROWS``
+        the :func:`lattice` of ``axes``.  Each slab is ``_SLAB_ROWS``
+        first-axis rows high, and a tail shorter than ``_MIN_GEMM_ROWS``
         rows joins the previous slab, so that with the BLAS build named in
         :func:`pad_rows` a value has the same bits in any slab.  The
         ``(m_a, n_a)`` matrices of unit-norm axis profiles are built once;
@@ -435,7 +440,7 @@ class DiscreteEmbedding:
             raise DomainError(f"need {self.size} samples and {self.dim} axes, got {t.size} and {len(axes)}")
         profiles = [self._unit_profiles(a, np.asarray(c, dtype=float)) for a, c in enumerate(axes)]
         shape = tuple(p.shape[0] for p in profiles)
-        starts = list(range(0, shape[0], _SLAB_ROWS if rows is None else rows)) or [0]
+        starts = list(range(0, shape[0], _SLAB_ROWS)) or [0]
         if len(starts) > 1 and shape[0] - starts[-1] < _MIN_GEMM_ROWS:
             starts.pop()  # a short tail joins the previous slab
         for start, stop in zip(starts, starts[1:] + [shape[0]]):
@@ -449,9 +454,8 @@ class DiscreteEmbedding:
             yield start, block.reshape(slab)
 
     def correlations(self, signal, axes) -> np.ndarray:
-        """The whole tensor of :meth:`correlation_slabs`, as its one slab."""
-        ((_, corr),) = self.correlation_slabs(signal, axes, rows=sys.maxsize)
-        return corr
+        """The whole tensor of :meth:`correlation_slabs`, its slabs stacked."""
+        return np.concatenate([slab for _, slab in self.correlation_slabs(signal, axes)])
 
     def _unit_profiles(self, a: int, coords: np.ndarray) -> np.ndarray:
         """:meth:`_profiles` with each row divided by its norm; a zero norm raises :class:`DomainError`."""

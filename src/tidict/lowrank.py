@@ -11,7 +11,9 @@ inherits the translation-invariant structure: inner products between two
 approximated atoms are raised-cosine evaluations again, so the
 approximation quality and all downstream computations need kernel values
 only, never explicit atom vectors.  The exact-rank property follows from
-the feature-map factorization of ``rc``.
+the feature-map factorization of ``rc``.  Every dictionary is built as
+``LowRankDictionary(kernel, build_gram(kernel, grid))``, whose constructor
+decomposes the grid.
 
 With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  A block of points is solved
@@ -30,15 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoValidDecomposition
-from .gram import (
-    CONDITION_LIMIT,
-    RESIDUAL_TOL,
-    GramSystem,
-    NodeGrid,
-    build_gram,
-    decompose_grid,
-    verify_decomposition,
-)
+from .gram import RESIDUAL_TOL, GramSystem, NodeGrid, decompose_grid, verify_decomposition
 from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, blocks, pad_rows
 from .raised_cosine import RaisedCosineKernel
 
@@ -72,9 +66,11 @@ class LowRankDictionary:
     kernel : GaussianIsotropicKernel
         Exact kernel of the continuous family.
     gram : GramSystem
-        Node Gram matrix (factorized) of the family.
-    rc : RaisedCosineKernel
-        Raised-cosine kernel matching ``gram`` on all node differences.
+        Node Gram matrix (factorized) of the family, from
+        :func:`~tidict.gram.build_gram`; its grid holds the nodes.
+    rc : RaisedCosineKernel, optional
+        Raised-cosine kernel matching ``gram`` on all node differences;
+        by default :func:`~tidict.gram.decompose_grid` of the grid.
     check : bool
         Verify the match on construction and raise
         :class:`NoValidDecomposition` if the residual exceeds
@@ -85,10 +81,12 @@ class LowRankDictionary:
         self,
         kernel: GaussianIsotropicKernel,
         gram: GramSystem,
-        rc: RaisedCosineKernel,
+        rc: RaisedCosineKernel | None = None,
         residual_tol: float = RESIDUAL_TOL,
         check: bool = True,
     ):
+        if rc is None:
+            rc = decompose_grid(kernel, gram.grid, residual_tol=residual_tol)
         if rc.dim != kernel.dim:
             raise DomainError(
                 f"raised-cosine dimension {rc.dim} != kernel dimension {kernel.dim}"
@@ -100,25 +98,12 @@ class LowRankDictionary:
         self.kernel = kernel
         self.gram = gram
         self.rc = rc
-        self.report = verify_decomposition(gram, rc, residual_tol=residual_tol)
+        self.report = verify_decomposition(gram, rc)
         if check and self.report.residual > residual_tol:
             raise NoValidDecomposition(
                 f"raised-cosine kernel misses the node Gram matrix by "
                 f"{self.report.residual:.3e} (tolerance {residual_tol:g})"
             )
-
-    @classmethod
-    def from_kernel(
-        cls,
-        kernel: GaussianIsotropicKernel,
-        grid: NodeGrid,
-        residual_tol: float = RESIDUAL_TOL,
-        condition_limit: float = CONDITION_LIMIT,
-    ) -> "LowRankDictionary":
-        """Build the Gram system and its decomposition for a node grid."""
-        gram = build_gram(kernel, grid, condition_limit=condition_limit)
-        rc = decompose_grid(kernel, grid, residual_tol=residual_tol)
-        return cls(kernel, gram, rc, residual_tol=residual_tol)
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -130,6 +115,10 @@ class LowRankDictionary:
     @property
     def dim(self) -> int:
         return self.kernel.dim
+
+    @property
+    def grid(self) -> NodeGrid:
+        return self.gram.grid
 
     @property
     def nodes(self) -> np.ndarray:

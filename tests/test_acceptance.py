@@ -16,6 +16,7 @@ from tidict import (
     NodeGrid,
     ParamBox,
     TaylorApproximation,
+    build_gram,
     decompose_gram_1d,
 )
 from tidict.cli import main
@@ -35,7 +36,7 @@ def make_dictionary(dim, spacing, counts):
     grid = NodeGrid(
         origin=np.zeros(dim), spacing=np.full(dim, spacing), counts=tuple(counts)
     )
-    return LowRankDictionary.from_kernel(kernel, grid)
+    return LowRankDictionary(kernel, build_gram(kernel, grid))
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,52 @@ def test_08_beats_fixed_center_taylor_baseline():
         f"50x50 evaluation",
     )
     assert ok
+
+
+# (counts, spacing, Taylor order, proposed max and mean, Taylor max and mean),
+# three significant digits: README's matched-rank table.  A 1x3 grid is left
+# out: its nodes span no box, and its one node column cannot interpolate
+# along the first axis.
+MATCHED_RANKS = [
+    ((2, 3), 1.0, 2, 0.103, 0.0697, 0.294, 0.0758),
+    ((2, 5), 1.0, 3, 0.0955, 0.0619, 1.53, 0.342),
+    ((3, 5), 1.0, 4, 0.0642, 0.0401, 1.99, 0.321),
+    ((3, 7), 1.0, 5, 0.0623, 0.0376, 11.9, 1.83),
+    ((4, 7), 1.0, 6, 0.0533, 0.0284, 20.7, 2.33),
+    ((2, 3), 0.5, 2, 0.0231, 0.0154, 0.0391, 0.00982),
+    ((3, 5), 0.5, 4, 0.00704, 0.00448, 0.0740, 0.0114),
+    ((3, 7), 0.5, 5, 0.00688, 0.00436, 0.246, 0.0358),
+]
+
+
+@pytest.mark.parametrize(
+    "counts, spacing, order, table",
+    [(c, s, o, t) for c, s, o, *t in MATCHED_RANKS],
+    ids=[f"{c[0]}x{c[1]}-spacing{s}" for c, s, *_ in MATCHED_RANKS],
+)
+def test_08_matched_rank_sweep(counts, spacing, order, table):
+    """The surrogate against the Taylor baseline of equal rank, on the node box at resolution 40.
+
+    The surrogate wins every max and every mean but one: at rank 6 and
+    spacing 0.5 the Taylor mean is lower.  A change that flips a verdict
+    or moves a value out of its three digits fails here.
+    """
+    ld = make_dictionary(2, spacing, counts)
+    box = ParamBox(*ld.grid.bounds())
+    # the Taylor errors read only sigma from the embedding
+    embedding = DiscreteEmbedding(ld.kernel, box.lower - 8.0, box.upper + 8.0, 16)
+    taylor = TaylorApproximation.build(embedding, box.center, order)
+    assert taylor.rank == ld.rank
+    pts = box.grid(40)
+    err_p, err_t = ld.approx_error(pts), taylor.errors(pts)
+    observed = [float(np.max(err_p)), float(np.mean(err_p)), float(np.max(err_t)), float(np.mean(err_t))]
+    wins = (observed[0] < observed[2], observed[1] < observed[3])
+    expected = (True, (counts, spacing) != ((2, 3), 0.5))
+    report(8, f"matched rank {ld.rank}, {counts[0]}x{counts[1]} at spacing {spacing}",
+           wins == expected,
+           "max {:.3g} vs {:.3g}, mean {:.3g} vs {:.3g}".format(*observed[::2], *observed[1::2]))
+    assert wins == expected
+    assert observed == pytest.approx(table, rel=5e-3)
 
 
 def test_09_atom_selection_accuracy():

@@ -567,6 +567,40 @@ class TestValidate:
         assert err.count("\n") == 1
 
 
+GRID_3D = {
+    "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 3},
+    "grid": {"origin": 0.0, "spacing": 1.0, "counts": 6},
+    "evaluation": {"resolution": 10},
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "payload, sub, name",
+    [
+        (dict(README_2D, taylor={"order": 2}), "errormap", "errormap.csv"),
+        (dict(README_2D, taylor={"order": 2}), "compare-taylor", "compare.csv"),
+        (GRID_3D, "errormap", "errormap.csv"),
+    ],
+    ids=["readme-2d-errormap", "readme-2d-compare-taylor", "grid-3d-errormap"],
+)
+def test_sweep_rows_do_not_depend_on_the_block(tmp_path, monkeypatch, payload, sub, name):
+    """Every CSV row has the same bits in blocks of 97 points as in one block of 4,096.
+
+    The CSV shows each row's bits, where validate's report keeps only the
+    largest deviation over its pairs.  readme-2d sweeps 2,500 points and
+    grid-3d 1,000.  cond-1d is left out: on its 20-node grid a row's bits do
+    depend on its block, and ROADMAP.md records it under "Block bits" in
+    the per-axis errors item.
+    """
+    cfg = write_config(tmp_path, payload)
+    monkeypatch.setattr(tidict.kernels, "_CHUNK", 4096)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "many")]) == 0
+    assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 class TestErrorPaths:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["decompose", "--config", str(tmp_path / "nope.json")])

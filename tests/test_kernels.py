@@ -257,14 +257,15 @@ class TestDiscreteEmbedding:
     @pytest.mark.parametrize("slab_rows", [8, 16, 64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_correlation_slabs_stack_to_the_one_slab_tensor(self, monkeypatch, dim, slab_rows):
-        monkeypatch.setattr(tidict.kernels, "_SLAB_ROWS", slab_rows)
         rng = np.random.default_rng(dim)
         samples = {1: 300, 2: (64, 50), 3: (20, 16, 12)}[dim]
         emb = DiscreteEmbedding(GaussianIsotropicKernel(0.8, dim), [-5.0] * dim, [6.0] * dim, samples)
         signal = rng.standard_normal(emb.size)
         for first in (8, 9, 17, 63, 65, 200):
             axes = [np.linspace(-1.0, 2.0, first)] + [rng.uniform(-1.0, 2.0, c) for c in (5, 4)[: dim - 1]]
+            monkeypatch.setattr(tidict.kernels, "_SLAB_ROWS", 1 << 30)  # every row in one slab
             whole = emb.correlations(signal, axes)
+            monkeypatch.setattr(tidict.kernels, "_SLAB_ROWS", slab_rows)
             starts, slabs = zip(*emb.correlation_slabs(signal, axes))
             heights = [slab.shape[0] for slab in slabs]
             assert list(starts) == [0] + list(np.cumsum(heights)[:-1])

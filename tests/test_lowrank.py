@@ -35,7 +35,7 @@ def _gaussian_dictionary(dim, counts):
     """
     spacing = 1.0 if counts == (6, 6, 6) else 0.5
     kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
-    return LowRankDictionary.from_kernel(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts))
+    return LowRankDictionary(kernel, build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts)))
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +49,12 @@ def emb2(gauss2):
 
 
 class TestConstruction:
-    def test_from_kernel(self, ld6):
+    def test_constructor_decomposes_the_grid(self, ld6, gauss1, grid6):
         assert ld6.rank == 6 and ld6.dim == 1
-        assert ld6.report.ok
+        assert ld6.grid is grid6 and np.array_equal(ld6.nodes, grid6.nodes)
+        assert ld6.rc.to_dict() == decompose_grid(gauss1, grid6).to_dict()
+        assert ld6.report.residual < 1e-12
+        assert ld6.report.psd_margin > -1e-10
 
     def test_mismatched_kernel_rejected(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
@@ -67,7 +70,7 @@ class TestConstruction:
             LowRankDictionary(gauss1, gram, wrong)
         # the escape hatch still records the failed verification
         ld = LowRankDictionary(gauss1, gram, wrong, check=False)
-        assert not ld.report.ok
+        assert ld.report.residual > 1e-3
 
     def test_rank_must_match_nodes(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
@@ -234,7 +237,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     def test_sweeps_run_in_bounded_memory(self, gauss1):
-        ld = LowRankDictionary.from_kernel(gauss1, NodeGrid([0.0], [1.0], [20]))
+        ld = LowRankDictionary(gauss1, build_gram(gauss1, NodeGrid([0.0], [1.0], [20])))
         emb = DiscreteEmbedding(gauss1, [-7.0], [26.0], 256)
         taylor = TaylorApproximation.build(emb, 9.5, 19)
         pts = np.linspace(0.0, 19.0, self.N)
@@ -315,7 +318,7 @@ class TestSelectAtom:
 
     def test_constant_surrogate_returns_lower_corner(self, gauss1):
         grid = NodeGrid([0.0], [1.0], [1])
-        ld = LowRankDictionary.from_kernel(gauss1, grid)
+        ld = LowRankDictionary(gauss1, build_gram(gauss1, grid))
         box = ParamBox([-1.0], [1.0])
         theta, value = ld.select_atom(np.array([2.0]), box)
         assert theta[0] == -1.0
