@@ -263,6 +263,9 @@ def _resolve(raw: dict) -> ExperimentConfig:
     )
 
     glo, ghi = grid.bounds()
+    # an axis with one node has no extent: the default box takes the node's cell
+    half = np.where(np.array(grid.counts) == 1, 0.5 * grid.spacing, 0.0)
+    glo, ghi = glo - half, ghi + half
     ecfg = raw.get("evaluation", {})
     eval_lower = _vector(ecfg.get("lower", glo), dim, "evaluation.lower")
     eval_upper = _vector(ecfg.get("upper", ghi), dim, "evaluation.upper")

@@ -166,21 +166,29 @@ class GramSystem:
     def nodes(self) -> np.ndarray:
         return self.grid.nodes
 
-    def _spectral_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``rows G^-1`` from the eigendecomposition alone."""
+    def _spectral_rows(self, rows: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """``rows G^-1`` from the eigendecomposition alone, into ``out`` by way of ``scratch``."""
         v = self._eigvecs
-        return ((rows @ v) * self._inv_eigvals) @ v.T
+        t = np.matmul(rows, v, out=scratch)
+        t *= self._inv_eigvals
+        return np.matmul(t, v.T, out=out)
 
-    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
+    def solve_rows(self, rows: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
         """Solve ``x G = r`` for a row ``r`` or for each row of a stack.
 
         ``G`` is symmetric, so this is ``G x = r`` row by row; it takes the
         rows as they are stored, and its products are matrix products over
-        the whole stack.
+        the whole stack.  ``out``, shaped like ``rows``, receives ``x``, and
+        ``scratch`` is two more such arrays, overwritten, so that a solve
+        allocates nothing of the size of ``rows``.  The bits are the same
+        either way.
         """
         rows = np.asarray(rows, dtype=float)
-        x = self._spectral_rows(rows)
-        x += self._spectral_rows(rows - x @ self.matrix)
+        s1, s2 = (None, None) if scratch is None else scratch
+        x = self._spectral_rows(rows, out, s1)
+        residual = np.matmul(x, self.matrix, out=s1)  # s1 is free again
+        np.subtract(rows, residual, out=residual)
+        x += self._spectral_rows(residual, residual, s2)
         return x
 
 

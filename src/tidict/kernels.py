@@ -19,6 +19,7 @@ and evaluation grids alike are laid out by :func:`lattice`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,9 @@ _DEFICIT_CHUNK = 1 << 20
 _CHUNK = 4096
 # fewest rows pad_rows hands to a matrix product
 _MIN_GEMM_ROWS = 8
+# most threads sweep() runs: each worker holds one block and its workspace
+# in flight, and a gain was measured only on 2 CPUs
+_MAX_WORKERS = 2
 # first-axis rows per slab of DiscreteEmbedding.correlation_slabs, a multiple of _MIN_GEMM_ROWS
 _SLAB_ROWS = 16
 
@@ -112,6 +116,52 @@ def blocks(out: np.ndarray, *stacks: np.ndarray):
     for start in range(0, out.shape[0], _CHUNK):
         stop = start + _CHUNK
         yield (out[start:stop], *(pad_rows(s[start:stop]) for s in stacks))
+
+
+def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace) -> None:
+    """Run ``body(dst, ws, *rows)`` on every block of :func:`blocks`, on up to ``_MAX_WORKERS`` threads.
+
+    ``workspace(rows)`` returns the buffers that ``body`` writes into for
+    blocks of up to ``rows`` rows.  The calling thread makes one workspace
+    per worker, so that no block allocates anything of its size, and memory
+    is workers x one workspace, whatever the number of rows.  The workers
+    are as many as there are blocks, CPUs this process may run on, and
+    ``_MAX_WORKERS``, whichever is fewest.  With one worker ``body`` runs
+    in the calling thread; otherwise a thread pool is made for the call
+    and shut down before it returns.  Each block writes only its own
+    ``dst``, so the results do not depend on the number of workers.
+    ``body`` must not enter a traced span, whose tracer keeps one stack.
+    """
+    n_blocks = -(-out.shape[0] // _CHUNK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(n_blocks, cpus, _MAX_WORKERS)
+    rows = max(min(out.shape[0], _CHUNK), _MIN_GEMM_ROWS)  # the largest block blocks() yields
+    if workers <= 1:
+        ws = workspace(rows)
+        for dst, *block in blocks(out, *stacks):
+            body(dst, ws, *block)
+        return
+    # imported here: at module level they would add to every start-up
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(workspace(rows))
+
+    def run(dst, *block):
+        ws = free.get()
+        try:
+            body(dst, ws, *block)
+        finally:
+            free.put(ws)
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for future in [pool.submit(run, *part) for part in blocks(out, *stacks)]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def lattice(axes) -> np.ndarray:
@@ -210,7 +260,7 @@ class GaussianIsotropicKernel:
 
     __call__ = eval
 
-    def cross(self, x, y) -> np.ndarray:
+    def cross(self, x, y, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix ``kappa(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
 
         The kernel is a product of one factor per axis, so this takes one
@@ -219,21 +269,26 @@ class GaussianIsotropicKernel:
         ``n m`` displacements.  In one dimension the values equal
         :meth:`eval` at ``x_i - y_j`` bit for bit.  The result is
         C-contiguous, like :meth:`eval` of the displacements reshaped.
+
+        ``out``, an ``(n, m)`` float array, receives the result, with the
+        same bits.  When ``y`` is sorted and distinct on the first axis, as
+        on a 1-D grid, that axis's table is built in ``out``, so a 1-D
+        cross allocates nothing of size ``n m``.
         """
         xs, _ = as_param_array(x, self.dim)
         ys, _ = as_param_array(y, self.dim)
         scale = -(4.0 * self.sigma**2)
-        out = None
         for a in range(self.dim):
             coords, inverse = np.unique(ys[:, a], return_inverse=True)
-            factor = xs[:, a, None] - coords
+            whole = np.array_equal(inverse, np.arange(ys.shape[0]))  # y sorted and distinct
+            factor = np.subtract(xs[:, a, None], coords, out=out if a == 0 and whole else None)
             np.multiply(factor, factor, out=factor)
             with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
                 np.divide(factor, scale, out=factor)
             np.exp(factor, out=factor)
-            if not np.array_equal(inverse, np.arange(ys.shape[0])):  # y not sorted and distinct
-                factor = np.take(factor, inverse, axis=1)
-            if out is None:
+            if not whole:
+                factor = np.take(factor, inverse, axis=1, out=out if a == 0 else None)
+            if a == 0:
                 out = factor
             else:
                 out *= factor

@@ -22,7 +22,11 @@ products against the eigenvectors of ``G`` that the Gram system computed
 once.  Every sweep takes its points in the fixed, padded blocks of
 :func:`tidict.kernels.blocks`: memory does not grow with the points, and
 results are deterministic, though a point's last bits may depend on its
-block (see :func:`tidict.kernels.pad_rows`).
+block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error` runs
+its blocks on up to two threads through :func:`tidict.kernels.sweep`,
+each writing into a workspace allocated once per call; its results do
+not depend on the number of threads.  The other sweeps run in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, NoValidDecomposition
 from .gram import RESIDUAL_TOL, GramSystem, NodeGrid, decompose_grid, verify_decomposition
-from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, blocks, pad_rows
+from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, blocks, pad_rows, sweep
 from .raised_cosine import RaisedCosineKernel
 
 __all__ = ["LowRankDictionary", "SelectAtomSettings"]
@@ -163,18 +167,32 @@ class LowRankDictionary:
         ``sqrt(1 - 2 <a, a~> + <a~, a~>)``, clipped at zero before the
         square root to absorb roundoff.
 
-        Points are taken in the blocks of :func:`tidict.kernels.blocks`.
+        Points are taken in the blocks of :func:`tidict.kernels.blocks`, on
+        up to two threads by :func:`tidict.kernels.sweep`.  Each worker
+        writes a block's coefficients, solve and kernel values into its own
+        workspace of two ``(B, K)`` and four ``(B, L)`` arrays, ``B`` the
+        block length, which the calling thread allocates once per call.
+        The errors do not depend on the number of workers.
         """
         pts, single = as_param_array(theta, self.dim)
         err = np.empty(pts.shape[0])
-        for dst, rows in blocks(err, pts):
-            c = self.coefficients(rows)
-            k = self.kernel.cross(rows, self.nodes)
-            solved = self.gram.solve_rows(c)
-            approx = np.sum(c * solved, axis=1)
-            cross = np.sum(k * solved, axis=1)
+        nodes = self.nodes
+
+        def workspace(rows):
+            return np.empty((2, rows, self.rc.num_terms)), np.empty((4, rows, self.rank))
+
+        def body(dst, ws, rows):
+            n = rows.shape[0]
+            (phase, trig), (c, t, x, r) = ([a[:n] for a in group] for group in ws)
+            self.rc.cross(rows, nodes, out=c, scratch=(phase, trig, t))
+            self.gram.solve_rows(c, out=x, scratch=(t, r))
+            k = self.kernel.cross(rows, nodes, out=r)
+            approx = np.multiply(c, x, out=t).sum(axis=1)
+            cross = np.multiply(k, x, out=t).sum(axis=1)
             sq = np.clip(1.0 - 2.0 * cross + approx, 0.0, None)
             dst[:] = np.sqrt(sq[: len(dst)])
+
+        sweep(body, err, pts, workspace=workspace)
         return float(err[0]) if single else err
 
     # ------------------------------------------------------------------

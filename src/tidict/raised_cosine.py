@@ -137,17 +137,32 @@ class RaisedCosineKernel:
 
     __call__ = eval
 
-    def cross(self, x, y) -> np.ndarray:
+    def cross(self, x, y, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
         """Kernel matrix ``rc(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
 
         Each term splits as ``cos(w.x) cos(w.y) + sin(w.x) sin(w.y)``, so the
         cost is ``(n + m) K`` trigonometric evaluations, not ``n m K``.  Unlike
         :meth:`feature_map` it takes no square roots, so any weight sign works.
+
+        ``out``, an ``(n, m)`` float array, receives the result.  ``scratch``
+        is ``(phase, trig, terms)``, two ``(n, K)`` arrays and one ``(n, m)``
+        array that are overwritten.  With both given, nothing of size ``n``
+        is allocated.  The bits are the same either way.
         """
         xs, _ = as_param_array(x, self.dim)
         ys, _ = as_param_array(y, self.dim)
-        px, py, w = xs @ self.freqs.T, ys @ self.freqs.T, self.weights
-        return self.lambda0 + (np.cos(px) * w) @ np.cos(py).T + (np.sin(px) * w) @ np.sin(py).T
+        phase, trig, terms = (None, None, None) if scratch is None else scratch
+        py, w = ys @ self.freqs.T, self.weights
+        px = np.matmul(xs, self.freqs.T, out=phase)
+        table = np.cos(px, out=trig)
+        table *= w
+        # (lambda0 + cos-terms) + sin-terms: the sums of the one-expression form, so its bits
+        out = np.matmul(table, np.cos(py).T, out=out)
+        out += self.lambda0
+        table = np.sin(px, out=px)
+        table *= w
+        out += np.matmul(table, np.sin(py).T, out=terms)
+        return out
 
     def feature_map(self, theta) -> np.ndarray:
         """Explicit finite-dimensional features whose inner products equal the kernel.

@@ -76,6 +76,13 @@ class TestDecompose:
         assert len(kernel["terms"]) == 3
         assert all(len(t["w"]) == 2 for t in kernel["terms"])
 
+    @pytest.mark.parametrize("sub", ["decompose", "errormap", "compare-taylor"])
+    def test_grid_with_one_node_on_an_axis(self, tmp_path, sub):
+        # the default evaluation box spans the lone node's cell on that axis
+        grid = {"origin": [0.0, 0.0], "spacing": 1.0, "counts": [1, 3]}
+        cfg = write_config(tmp_path, config_2d(grid=grid, taylor={"order": 1}))
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, config_1d())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -601,6 +608,29 @@ def test_sweep_rows_do_not_depend_on_the_block(tmp_path, monkeypatch, payload, s
     assert (tmp_path / "many" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "payload, chunk",
+    [
+        # 10^5 points: 25 blocks of the default 4,096 rows
+        (dict(COND_1D, evaluation={"resolution": 100_000}, taylor={"order": 19}), None),
+        # 2,500 points: 26 blocks of 97 rows
+        (dict(README_2D, taylor={"order": 2}), 97),
+    ],
+    ids=["cond-1d", "readme-2d-chunk-97"],
+)
+def test_sweep_outputs_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, payload, chunk):
+    """errormap.csv and compare.csv are the same bytes on one CPU as on two."""
+    cfg = write_config(tmp_path, payload)
+    if chunk is not None:
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        for sub in ("errormap", "compare-taylor"):
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / str(cpus))]) == 0
+    for name in ("errormap.csv", "compare.csv"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
 class TestErrorPaths:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["decompose", "--config", str(tmp_path / "nope.json")])
@@ -772,6 +802,18 @@ def _json_numbers(obj):
 
 
 class TestRuntimeDependencies:
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        # the sweep imports them only when it runs on two threads: at import
+        # time they would add to every start-up
+        script = "import sys, tidict.cli; print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])"
+        src = str(Path(tidict.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_subcommands_do_not_import_scipy(self, tmp_path):
         # scipy and jsonschema are test-only dependencies: the CLI must run on
         # numpy alone; the CSV writer's tables need no fractions or decimal

@@ -48,6 +48,18 @@ class TestDefaults:
         assert np.allclose(cfg.evaluation.upper, [5.0])
         assert cfg.resolution == (50,)
 
+    def test_one_node_axis_defaults_to_the_node_cell(self, tmp_path):
+        grid = {"origin": [0.0, 0.0], "spacing": [0.5, 1.0], "counts": [1, 3]}
+        payload = dict(MINIMAL, kernel={"kernel": "gaussian", "sigma": 1.0, "dim": 2}, grid=grid)
+        cfg = load_config(write_config(tmp_path, payload))
+        assert cfg.evaluation.lower.tolist() == [-0.25, 0.0]
+        assert cfg.evaluation.upper.tolist() == [0.25, 2.0]
+        assert cfg.taylor_center.tolist() == [0.0, 1.0]
+        # an explicit empty axis is still refused
+        payload["evaluation"] = {"lower": [0.0, 0.0], "upper": [0.0, 2.0]}
+        with pytest.raises(ConfigError, match="empty box"):
+            load_config(write_config(tmp_path, payload))
+
     def test_embedding_defaults_pad_by_sigma(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
         # window covers grid and evaluation region plus 6.5 sigma on each side

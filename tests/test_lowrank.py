@@ -1,3 +1,5 @@
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -207,6 +209,33 @@ class TestApproxError:
             blocks = [ld.coefficients(thetas[i : i + size]) for i in range(0, 23, size)]
             assert np.array_equal(np.concatenate(blocks), coeffs), size
 
+    def test_errors_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # 10^5 points in 25 blocks, on one worker and on two
+        ld = _gaussian_dictionary(1, (20,))
+        pts = np.random.default_rng(20).uniform(-1.0, 10.5, size=100_000)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            errors.append(ld.approx_error(pts))
+        assert np.array_equal(errors[0], errors[1])
+
+    def test_workers_never_share_a_workspace(self, monkeypatch, rng):
+        # more workers than cores, switching threads as often as the interpreter can
+        ld = _gaussian_dictionary(2, (2, 3))
+        pts = rng.uniform(-1.0, 2.0, size=(5_000, 2))
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = ld.approx_error(pts)
+        monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [ld.approx_error(pts) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, want) for g in got)
+
     def test_cross_term_from_axis_tables(self, rng):
         # kappa(x_i - y_j) from per-axis tables: bitwise equal to eval in 1-D
         grids = [NodeGrid([0.0] * d, [0.5] * d, [4] * d).nodes for d in (1, 2)]
@@ -243,6 +272,11 @@ class TestBoundedMemory:
         pts = np.linspace(0.0, 19.0, self.N)
         assert self._peak(ld.approx_error, pts) < self.LIMIT
         assert self._peak(taylor.errors, pts) < self.LIMIT
+
+    def test_sweeps_run_in_bounded_memory_on_many_cpus(self, gauss1, monkeypatch):
+        # the cap on sweep()'s workers, not the CPU count, holds the limit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        self.test_sweeps_run_in_bounded_memory(gauss1)
 
     def test_approx_inner_runs_in_bounded_memory(self, rng):
         # 1e4 pairs against 108 cosine terms: in one block, their phases,
