@@ -37,7 +37,6 @@ class Tolerances:
     kernel_match: float = 1e-10
     unit_norm: float = 1e-10
     psd_margin: float = PSD_TOL
-    rank_svals: float = 1e-8
     condition_limit: float = CONDITION_LIMIT
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -17,6 +18,7 @@ import tidict._csvformat
 import tidict.cli
 import tidict.kernels
 from oracles import fine_grid_argmax, savetxt_csv
+from tidict import Tolerances
 from tidict.cli import main
 
 
@@ -50,6 +52,11 @@ def config_2d(**overrides):
     return payload
 
 
+ONE_NODE_AXIS = config_2d(
+    grid={"origin": [0.0, 0.0], "spacing": 1.0, "counts": [1, 3]}, taylor={"order": 1}
+)
+
+
 class TestDecompose:
     def test_writes_kernel_and_report(self, tmp_path):
         cfg = write_config(tmp_path, config_1d())
@@ -76,11 +83,10 @@ class TestDecompose:
         assert len(kernel["terms"]) == 3
         assert all(len(t["w"]) == 2 for t in kernel["terms"])
 
-    @pytest.mark.parametrize("sub", ["decompose", "errormap", "compare-taylor"])
+    @pytest.mark.parametrize("sub", ["decompose", "errormap", "compare-taylor", "validate"])
     def test_grid_with_one_node_on_an_axis(self, tmp_path, sub):
         # the default evaluation box spans the lone node's cell on that axis
-        grid = {"origin": [0.0, 0.0], "spacing": 1.0, "counts": [1, 3]}
-        cfg = write_config(tmp_path, config_2d(grid=grid, taylor={"order": 1}))
+        cfg = write_config(tmp_path, ONE_NODE_AXIS)
         assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -285,6 +291,17 @@ class TestSelectAtom:
         result = json.loads((out1 / "select_atom.json").read_text())
         assert result["distance"] <= 3.0 * result["oracle_cell_diagonal"]
 
+    def test_grid_with_one_node_on_an_axis_exits_1(self, tmp_path, capsys):
+        # the surrogate is constant along axis 1, where it would return the
+        # search box's lower bound whatever the signal
+        payload = dict(ONE_NODE_AXIS, select_atom={"theta_true": [0.37, 0.81], "snr_db": 20.0})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["select-atom", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "axis 1" in err
+        assert not (out / "select_atom.json").exists()
 
     def test_3d_recovery_samples_no_node_atom(self, tmp_path, monkeypatch):
         sample = tidict.DiscreteEmbedding.atoms
@@ -444,7 +461,6 @@ class TestValidate:
             "node_interpolation",
             "kernel_match",
             "unit_norm",
-            "rank_bound",
         ]
         assert all(list(c) == ["name", "passed", "value", "threshold"] for c in report["checks"])
         assert all(c["passed"] for c in report["checks"])
@@ -511,6 +527,65 @@ class TestValidate:
         report = "validate_report.json"
         assert (tmp_path / "many" / report).read_bytes() == (tmp_path / "one" / report).read_bytes()
 
+    def test_every_check_fails_on_some_corrupted_kernel(self, tmp_path):
+        """Each check fails on one of four corruptions of the README 2-D kernel.
+
+        The report's checks must be exactly those some corruption fails, so
+        a check that cannot fail, or a comparison that always passes, fails
+        this test.
+        """
+        cfg = write_config(tmp_path, README_2D)
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 0
+        good = (tmp_path / "kernel.json").read_text()
+        fails = {
+            "frequencies-scaled": {
+                "decomposition_residual", "node_interpolation", "kernel_match", "unit_norm",
+            },
+            "term-dropped": {
+                "structure", "decomposition_residual", "node_interpolation", "unit_norm",
+            },
+            "weight-negated": {
+                "structure", "decomposition_residual", "psd_margin", "node_interpolation",
+                "kernel_match",
+            },
+            "weight-nudged": {"kernel_match", "unit_norm"},
+        }
+        for case, want in fails.items():
+            kernel = json.loads(good)
+            terms = kernel["terms"]
+            if case == "frequencies-scaled":
+                for term, factor in zip(terms, (0.5, 2.0, 3.0)):
+                    term["w"] = [1.3 * v for v in term["w"]]
+                    term["lambda"] *= factor
+            elif case == "term-dropped":
+                terms.pop()
+            elif case == "weight-negated":
+                terms[1]["lambda"] *= -1.0
+            else:
+                terms[1]["lambda"] *= 1.0 + 1e-9
+            bad = tmp_path / f"{case}.json"
+            bad.write_text(json.dumps(kernel))
+            out = tmp_path / case
+            args = ["validate", "--config", cfg, "--out", str(out), "--kernel-json", str(bad)]
+            assert main(args) == 3, case
+            report = json.loads((out / "validate_report.json").read_text())
+            assert {c["name"] for c in report["checks"] if not c["passed"]} == want, case
+        assert {c["name"] for c in report["checks"]} == set().union(*fails.values())
+
+    def test_every_tolerance_is_read(self, tmp_path):
+        # each tolerance but the condition limit is the threshold of one check
+        names = [f.name for f in dataclasses.fields(Tolerances) if f.name != "condition_limit"]
+        values = {name: 1.5e-3 * (i + 1) for i, name in enumerate(names)}
+        cfg = write_config(tmp_path, config_1d(tolerances=values))
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+        report = json.loads((tmp_path / "v" / "validate_report.json").read_text())
+        thresholds = [c["threshold"] for c in report["checks"]]
+        assert all(thresholds.count(v) == 1 for v in values.values()), thresholds
+        # and a condition limit below cond(G) refuses the grid
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        cond = json.loads((tmp_path / "d" / "decompose_report.json").read_text())["condition_number"]
+        cfg = write_config(tmp_path, config_1d(tolerances={"condition_limit": cond / 2}), "limit.json")
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
 
     @pytest.mark.parametrize(
         "content, message",

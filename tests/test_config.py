@@ -242,7 +242,6 @@ FULL = {
         "kernel_match": 1e-10,
         "unit_norm": 1e-10,
         "psd_margin": 1e-10,
-        "rank_svals": 1e-8,
         "condition_limit": 1e10,
     },
     "validation": {"num_pairs": 500},
@@ -395,8 +394,13 @@ class TestSchemaWalker:
             (dict(MINIMAL, seed=-1), "-1 is less than the minimum of 0"),
             (dict(MINIMAL, grid={"origin": 0.0, "spacing": [], "counts": 6}), "[] should be non-empty"),
             ({"kernel": MINIMAL["kernel"]}, "'grid' is a required property"),
+            # a retired tolerance is refused like any unknown key
+            (dict(MINIMAL, tolerances={"rank_svals": 1e-8}), "'rank_svals' was unexpected"),
         ],
-        ids=["additional", "two-additional", "const", "type", "minimum", "minItems", "required"],
+        ids=[
+            "additional", "two-additional", "const", "type", "minimum", "minItems", "required",
+            "retired-rank-svals",
+        ],
     )
     def test_messages(self, doc, message):
         assert message in tidict.config._schema_error(doc)[1]
