@@ -95,6 +95,7 @@ def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:
             "residual": report.residual,
             "psd_margin": report.psd_margin,
             "condition_number": ld.gram.condition_number,
+            "axis_condition_numbers": list(ld.gram.axis_condition_numbers),
         },
     )
     print(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -118,45 +118,44 @@ class NodeGrid:
 
 
 class GramSystem:
-    """A positive definite node Gram matrix and its eigendecomposition.
+    """A positive definite node Gram matrix, the Kronecker product of its axis factors.
 
-    Wraps ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of
-    ``grid``, the :class:`NodeGrid` it was built on, together with the
-    machinery needed downstream.  ``G = V diag(lam) V^T`` is computed once,
-    at construction; it gives the 2-norm condition number
-    ``lam_max / lam_min`` (``inf`` when ``G`` is not positive definite) and
-    every linear solve.  A solve applies ``G^-1 = V diag(1 / lam) V^T`` and
-    then one step of iterative refinement,
-    ``x = x0 + G^-1 (b - G x0)``, which keeps it as accurate as an LU
-    solve.  Instances are built by :func:`build_gram`.
+    Wraps ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of ``grid``,
+    the :class:`NodeGrid` it was built on, as ``factors``, one symmetric
+    ``G_a`` per axis.  ``G_a = V_a diag(lam_a) V_a^T`` is computed once, at
+    construction, and ``G = V diag(lam) V^T`` with ``V = kron(V_a)`` and
+    ``lam = kron(lam_a)``.  It gives the 2-norm condition number
+    ``lam_max / lam_min``, the product of :attr:`axis_condition_numbers`
+    (``inf`` when ``G`` is not positive definite), and every linear solve.
+    A solve applies ``G^-1 = V diag(1 / lam) V^T`` and then one step of
+    iterative refinement, ``x = x0 + G^-1 (b - G x0)``, which keeps it as
+    accurate as an LU solve.  Instances are built by :func:`build_gram`.
     """
 
     def __init__(
         self,
-        matrix: np.ndarray,
+        factors: Sequence[np.ndarray],
         grid: NodeGrid,
         condition_limit: float = CONDITION_LIMIT,
     ):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DomainError("Gram matrix must be square")
-        if matrix.shape[0] != grid.size:
-            raise DomainError("node count does not match Gram size")
-        self.matrix = matrix
+        factors = [np.asarray(f, dtype=float) for f in factors]
+        if [f.shape for f in factors] != [(c, c) for c in grid.counts]:
+            raise DomainError("Gram factors must be square, one per axis, sized by its node count")
         self.grid = grid
-        if not np.all(np.isfinite(matrix)):
+        if not all(np.all(np.isfinite(f)) for f in factors):
             raise IllConditionedError("Gram matrix has non-finite entries")
-        eigvals, self._eigvecs = np.linalg.eigh(matrix)
-        lo, hi = eigvals[0], eigvals[-1]
-        self.condition_number = float(hi / lo) if lo > 0.0 else math.inf
-        if not math.isfinite(self.condition_number) or (
-            self.condition_number > condition_limit
-        ):
-            raise IllConditionedError(
-                f"Gram condition number {self.condition_number:.3e} exceeds "
-                f"limit {condition_limit:.3e}"
-            )
+        axis_eigvals, axis_eigvecs = zip(*(np.linalg.eigh(f) for f in factors))
+        self.axis_condition_numbers = tuple(
+            float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf for lam in axis_eigvals
+        )
+        eigvals = reduce(np.kron, axis_eigvals)  # not sorted
+        lo, hi = eigvals.min(), eigvals.max()
+        cond = self.condition_number = float(hi / lo) if lo > 0.0 else math.inf
+        if not math.isfinite(cond) or cond > condition_limit:
+            raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds limit {condition_limit:.3e}")
         self._inv_eigvals = 1.0 / eigvals
+        self._eigvecs = reduce(np.kron, axis_eigvecs)
+        self.matrix = reduce(np.kron, factors)
 
     @property
     def size(self) -> int:
@@ -192,30 +191,37 @@ class GramSystem:
         return x
 
 
+def _axis_rows(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> list[np.ndarray]:
+    """Per axis ``a``, the Gram first row ``kappa(m spacing[a] e_a)``, ``m < counts[a]``: where the kernel meets the nodes."""
+    if grid.dim != kernel.dim:
+        raise DomainError(f"grid dimension {grid.dim} != kernel dimension {kernel.dim}")
+    rows = []
+    for a, count in enumerate(grid.counts):
+        deltas = np.zeros((count, grid.dim))
+        deltas[:, a] = np.arange(count) * grid.spacing[a]
+        rows.append(np.atleast_1d(kernel.eval(deltas)))
+    return rows
+
+
 def build_gram(
     kernel: GaussianIsotropicKernel,
     grid: NodeGrid,
     condition_limit: float = CONDITION_LIMIT,
 ) -> GramSystem:
-    """Assemble the Gram matrix of the atoms at the nodes of ``grid``.
+    """The Gram system of the atoms at the nodes of ``grid``.
 
-    Displacements come from integer index differences, which makes the
-    Toeplitz (1-D) and Kronecker-of-Toeplitz (multi-D) structure of the
-    result exact.  Nodes that are not a :class:`NodeGrid` raise
+    Each axis factor is the Toeplitz matrix ``G_a[i, j] = row_a[|i - j|]``
+    of the axis's Gram first row, so the Kronecker-of-Toeplitz structure of
+    ``G`` is exact, and in 1-D ``G`` is the kernel at every node
+    displacement bit for bit.  Nodes that are not a :class:`NodeGrid` raise
     :class:`TypeError`; a condition number beyond ``condition_limit``
     raises :class:`IllConditionedError`.
     """
     if not isinstance(grid, NodeGrid):
         raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
-    if grid.dim != kernel.dim:
-        raise DomainError(
-            f"grid dimension {grid.dim} != kernel dimension {kernel.dim}"
-        )
-    idx = lattice([np.arange(c) for c in grid.counts])
-    delta = (idx[:, None, :] - idx[None, :, :]) * grid.spacing
-    L = grid.size
-    matrix = kernel.eval(delta.reshape(L * L, kernel.dim)).reshape(L, L)
-    return GramSystem(matrix, grid, condition_limit)
+    idx = [np.arange(c) for c in grid.counts]
+    factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
+    return GramSystem(factors, grid, condition_limit)
 
 
 def _cheb_annihilator(y: np.ndarray, degree: int) -> np.ndarray:
@@ -413,18 +419,10 @@ def decompose_grid(
     Gaussian), and the factors are expanded with
     :func:`decompose_gram_separable`, a 1-D grid as its one-axis case.
     """
-    if grid.dim != kernel.dim:
-        raise DomainError(
-            f"grid dimension {grid.dim} != kernel dimension {kernel.dim}"
-        )
-    axis_kernels = []
-    for a in range(grid.dim):
-        m = np.arange(grid.counts[a])
-        deltas = np.zeros((grid.counts[a], grid.dim))
-        deltas[:, a] = m * grid.spacing[a]
-        row = np.atleast_1d(kernel.eval(deltas))
-        axis_kernels.append(decompose_gram_1d(row, grid.spacing[a], residual_tol))
-    return decompose_gram_separable(axis_kernels)
+    rows = _axis_rows(kernel, grid)
+    return decompose_gram_separable(
+        [decompose_gram_1d(row, s, residual_tol) for row, s in zip(rows, grid.spacing)]
+    )
 
 
 @dataclass(frozen=True)

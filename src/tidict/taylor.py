@@ -19,7 +19,12 @@ kappa^(alpha + beta)(0)`` is the Gram matrix of the derivative atoms.  For
 the Gaussian kernel both factor over the axes through the physicists'
 Hermite polynomials: with ``delta = theta - theta0``,
 ``d^n_{theta0} kappa_1(delta) = (2 sigma)^-n H_n(delta / 2 sigma)
-kappa_1(delta)``, so evaluating the error costs O(L^2) per point.
+kappa_1(delta)``, so evaluating the error costs O(L^2) per point.  The
+order-0 terms, ``m_0 = H_00 = 1`` and ``d_0 = kappa(delta)``, are folded into
+``2 (1 - kappa(delta))``, taken by ``expm1``, and the products run with
+``m_0`` zeroed, over ``H`` and ``d - H[0]``.  No term of size 1 is
+subtracted, so the error's rounding floor near the center scales with
+``|delta|``.
 """
 
 from __future__ import annotations
@@ -187,10 +192,13 @@ class TaylorApproximation:
                 deriv = self._products(
                     scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
                 )
+                deriv -= self.gram[0]
                 mono = self.monomials(rows)
+                mono[:, 0] = 0.0  # index 0 enters as 2 (1 - kappa(delta)) only
                 # padded, a short block sums like a longer one (see pad_rows)
                 quad = np.einsum("ij,ij->i", mono @ self.gram, mono)
-                sq = 1.0 - 2.0 * np.einsum("ij,ij->i", mono, deriv) + quad
+                cross = np.einsum("ij,ij->i", mono, deriv)
+                sq = -2.0 * np.expm1(-np.sum(x * x, axis=1)) - 2.0 * cross + quad
             dst[:] = np.sqrt(np.maximum(sq[: len(dst)], 0.0))
             bad = np.flatnonzero(~np.isfinite(dst))
             if bad.size:

@@ -97,6 +97,19 @@ class TestDecompose:
         for name in ("kernel.json", "decompose_report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_axis_condition_numbers(self, tmp_path):
+        # one per axis, whose product is cond(G); reruns keep the bytes
+        cfg = write_config(tmp_path, README_2D)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["decompose", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["decompose", "--config", cfg, "--out", str(out2)]) == 0
+        name = "decompose_report.json"
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        report = json.loads((out1 / name).read_text())
+        axis = report["axis_condition_numbers"]
+        assert len(axis) == 2 and all(cond > 1.0 for cond in axis)
+        assert np.prod(axis) == pytest.approx(report["condition_number"], rel=1e-12)
+
 
 class TestErrormap:
     def test_csv_rows_and_node_zeros(self, tmp_path):

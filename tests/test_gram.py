@@ -1,5 +1,8 @@
 import itertools
 import json
+import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,7 +67,28 @@ class TestBuildGram:
         k1 = GaussianIsotropicKernel(1.0, dim=1)
         g_a = build_gram(k1, NodeGrid([0.0], [1.0], [2])).matrix
         g_b = build_gram(k1, NodeGrid([0.0], [1.0], [3])).matrix
-        assert np.max(np.abs(gram.matrix - np.kron(g_a, g_b))) < 1e-14
+        assert np.array_equal(gram.matrix, np.kron(g_a, g_b))
+
+    @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.0, 2.5])
+    def test_1d_equals_the_displacement_oracle_bitwise(self, gauss1, spacing):
+        for count in range(1, 21):
+            gram = build_gram(gauss1, NodeGrid([-1.3], [spacing], [count]), condition_limit=np.inf)
+            idx = np.arange(count)
+            delta = (idx[:, None] - idx[None, :]) * spacing
+            oracle = gauss1.eval(delta.reshape(-1, 1)).reshape(count, count)
+            assert np.array_equal(gram.matrix, oracle), count
+
+    def test_peak_memory_is_a_few_gram_matrices(self):
+        # the factors are small; G and its eigenvectors are the only L x L arrays
+        grid = NodeGrid([0.0] * 3, [1.0] * 3, [10, 10, 10])
+        kernel = GaussianIsotropicKernel(1.0, dim=3)
+        tracemalloc.start()
+        try:
+            build_gram(kernel, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * grid.size**2 * 8
 
     def test_node_array_is_refused(self, gauss2):
         nodes = np.array([[0.0, 0.0], [0.3, 1.1], [2.0, -0.4]])
@@ -94,7 +118,7 @@ class TestBuildGram:
         matrix = np.eye(3)
         matrix[0, 1] = matrix[1, 0] = bad
         with pytest.raises(IllConditionedError, match="non-finite"):
-            GramSystem(matrix, NodeGrid([0.0], [1.0], [3]))
+            GramSystem([matrix], NodeGrid([0.0], [1.0], [3]))
 
 
 # (dim, spacing, counts) of the README 2-D grid, the 1-D spacing-0.5 L=20
@@ -129,12 +153,31 @@ class TestGramSystem:
         lu = _backward_error(gram.matrix, lu_solve(gram.matrix, b), b)
         assert np.max(ours) <= 2.0 * np.max(lu)
 
+    @pytest.mark.parametrize("grid", BENCH_GRIDS + [(2, 0.5, (12, 12))])
+    def test_condition_number_is_the_product_of_the_axis_numbers(self, grid):
+        dim, spacing, counts = grid
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        gram = build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts), condition_limit=np.inf)
+        assert len(gram.axis_condition_numbers) == dim
+        for cond, count in zip(gram.axis_condition_numbers, counts):
+            assert cond == _gram(1, spacing, (count,)).condition_number
+        assert gram.condition_number == pytest.approx(np.prod(gram.axis_condition_numbers), rel=1e-12)
+
+    def test_condition_number_stays_finite_past_the_dense_estimate(self):
+        # each axis is cond-1d's, at 9.1e11; a dense eigh of G reads lam_min <= 0 here
+        axis = _gram(*COND_1D).condition_number
+        with pytest.raises(IllConditionedError) as info:
+            _gram(2, 0.5, (20, 20))
+        number = float(re.search(r"condition number (\S+) exceeds", str(info.value)).group(1))
+        assert math.isfinite(number)
+        assert number == pytest.approx(axis**2, rel=1e-3)
+
     @pytest.mark.parametrize("limit", [1e12, np.inf])
     def test_not_positive_definite_is_ill_conditioned(self, limit):
         matrix = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
         assert np.linalg.eigvalsh(matrix)[0] < 0.0
         with pytest.raises(IllConditionedError, match="condition number inf exceeds limit"):
-            GramSystem(matrix, NodeGrid([0.0], [1.0], [3]), condition_limit=limit)
+            GramSystem([matrix], NodeGrid([0.0], [1.0], [3]), condition_limit=limit)
 
 
 def _sweep_grids():

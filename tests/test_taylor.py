@@ -163,6 +163,15 @@ class TestApproximation:
         e2 = taylor_error(taylor, 2 * r)
         assert e2 / e1 == pytest.approx(8.0, rel=0.15)
 
+    def test_cubic_error_growth_holds_near_the_center(self, emb2):
+        # the README 2-D expansion: at 1e-3 from the center the error, about
+        # 6.45e-10, is far below the rounding of terms of size 1
+        center = np.array([0.5, 1.0])
+        taylor = TaylorApproximation.build(emb2, center, 2)
+        near, far = taylor.errors(center + np.outer([1e-3, 1e-2], [1.0, 1.0]))
+        assert near > 0.0
+        assert far / near == pytest.approx(1e3, rel=0.01)
+
     def test_errors_batch_matches_scalar(self, emb2, rng, monkeypatch):
         monkeypatch.setattr(tidict.kernels, "_CHUNK", 3)
         taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
