@@ -51,17 +51,19 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", newline="\n")
 
 
-def _write_csv(path: Path, header, rows: np.ndarray) -> None:
-    """Write a header line and the rows of a 2-D array with 17 significant digits.
+def _write_csv(path: Path, header, *columns: np.ndarray) -> None:
+    """Write a header line and the rows of ``columns`` side by side with 17 significant digits.
 
-    Rows are formatted ``_CSV_BLOCK`` at a time by
-    :func:`~tidict._csvformat.format_rows`; the bytes are those of
-    ``np.savetxt(fmt="%.17g")``.
+    Each of ``columns`` is a 1-D array or a 2-D stack of columns, all with
+    the same number of rows.  Rows are stacked and formatted ``_CSV_BLOCK``
+    at a time by :func:`~tidict._csvformat.format_rows`, so no copy of the
+    whole table is made; the bytes are those of ``np.savetxt(fmt="%.17g")``
+    of the stacked table.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, rows.shape[0], _CSV_BLOCK):
-            fh.write(format_rows(rows[start : start + _CSV_BLOCK]))
+        for start in range(0, columns[0].shape[0], _CSV_BLOCK):
+            fh.write(format_rows(np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])))
 
 
 def _theta_header(dim: int) -> list[str]:
@@ -110,11 +112,7 @@ def cmd_errormap(cfg: ExperimentConfig, out: Path, args) -> int:
     ld = _build_dictionary(cfg)
     pts = cfg.evaluation.grid(cfg.resolution)
     err = ld.approx_error(pts)
-    _write_csv(
-        out / "errormap.csv",
-        _theta_header(cfg.kernel.dim) + ["error"],
-        np.column_stack([pts, err]),
-    )
+    _write_csv(out / "errormap.csv", _theta_header(cfg.kernel.dim) + ["error"], pts, err)
     print(
         f"errormap: {pts.shape[0]} points, max error {float(np.max(err)):.6e}, "
         f"mean error {float(np.mean(err)):.6e}"
@@ -137,11 +135,8 @@ def cmd_compare_taylor(cfg: ExperimentConfig, out: Path, args) -> int:
     pts = cfg.evaluation.grid(cfg.resolution)
     err_p = ld.approx_error(pts)
     err_t = taylor.errors(pts)
-    _write_csv(
-        out / "compare.csv",
-        _theta_header(cfg.kernel.dim) + ["error_proposed", "error_taylor"],
-        np.column_stack([pts, err_p, err_t]),
-    )
+    header = _theta_header(cfg.kernel.dim) + ["error_proposed", "error_taylor"]
+    _write_csv(out / "compare.csv", header, pts, err_p, err_t)
     summary = {
         "rank": ld.rank,
         "taylor_order": cfg.taylor_order,

@@ -39,7 +39,7 @@ import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
 from .kernels import GaussianIsotropicKernel, lattice
-from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_PRUNE_TOL, RaisedCosineKernel
+from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_TOL, RaisedCosineKernel, leading_entries
 
 __all__ = [
     "NodeGrid",
@@ -195,12 +195,7 @@ def _axis_rows(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> list[np.ndarr
     """Per axis ``a``, the Gram first row ``kappa(m spacing[a] e_a)``, ``m < counts[a]``: where the kernel meets the nodes."""
     if grid.dim != kernel.dim:
         raise DomainError(f"grid dimension {grid.dim} != kernel dimension {kernel.dim}")
-    rows = []
-    for a, count in enumerate(grid.counts):
-        deltas = np.zeros((count, grid.dim))
-        deltas[:, a] = np.arange(count) * grid.spacing[a]
-        rows.append(np.atleast_1d(kernel.eval(deltas)))
-    return rows
+    return [kernel.axis_factor(np.arange(c) * s, 0.0) for c, s in zip(grid.counts, grid.spacing)]
 
 
 def build_gram(
@@ -331,7 +326,7 @@ def decompose_gram_1d(
         raise NoValidDecomposition(
             f"node residual {residual:.3e} exceeds tolerance {residual_tol:g}"
         )
-    if np.min(lam) < WEIGHT_PRUNE_TOL:
+    if np.min(lam) < WEIGHT_TOL:
         raise NoValidDecomposition(
             f"recovered weights are not strictly positive: {lam.tolist()}"
         )
@@ -391,12 +386,11 @@ def decompose_gram_separable(
             [np.repeat(freqs, f.size, axis=0), np.tile(f, freqs.shape[0])]
         )
 
-    nonzero = freqs != 0.0
-    lead = freqs[np.arange(freqs.shape[0]), np.argmax(nonzero, axis=1)]
+    lead = leading_entries(freqs)
     keep = lead > 0.0
     rc = RaisedCosineKernel(
         dim=len(per_axis),
-        lambda0=float(np.sum(weights[~np.any(nonzero, axis=1)])),
+        lambda0=float(np.sum(weights[lead == 0.0])),
         weights=2.0 * weights[keep],
         freqs=freqs[keep],
         rank=int(np.prod([axis.rank for axis in per_axis])),

@@ -164,6 +164,17 @@ def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace) -> None:
         pool.shutdown(cancel_futures=True)
 
 
+def _gaussian(sq: np.ndarray, scale: float) -> np.ndarray:
+    """``exp(-sq / scale)`` in place in ``sq``, which it returns.
+
+    The one Gaussian evaluation of this module: a tiny ``scale`` overflows
+    the quotient to ``-inf``, and ``exp`` gives 0.
+    """
+    with np.errstate(over="ignore"):
+        np.divide(sq, -scale, out=sq)
+    return np.exp(sq, out=sq)
+
+
 def lattice(axes) -> np.ndarray:
     """Points of the lattice ``axes[0] x ... x axes[d-1]``, shape ``(prod(len), d)``.
 
@@ -253,18 +264,27 @@ class GaussianIsotropicKernel:
     def eval(self, delta):
         """Kernel value at one displacement, or at a stack of displacements."""
         deltas, single = as_param_array(delta, self.dim, name="delta")
-        sq = np.sum(deltas * deltas, axis=1)
-        with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-            vals = np.exp(-sq / (4.0 * self.sigma**2))
+        vals = _gaussian(np.sum(deltas * deltas, axis=1), 4.0 * self.sigma**2)
         return float(vals[0]) if single else vals
 
     __call__ = eval
+
+    def axis_factor(self, x, y, out: np.ndarray | None = None) -> np.ndarray:
+        """One axis's factor ``exp(-(x_i - y_j)^2 / (4 sigma^2))``, shape ``x.shape + y.shape``.
+
+        ``x`` and ``y`` are coordinates on one axis.  The kernel is the
+        product of this factor over the axes, and along one axis it equals
+        :meth:`eval` bit for bit.  ``out`` receives the result.
+        """
+        d = np.subtract.outer(x, y, out=out)
+        np.multiply(d, d, out=d)
+        return _gaussian(d, 4.0 * self.sigma**2)
 
     def cross(self, x, y, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix ``kappa(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
 
         The kernel is a product of one factor per axis, so this takes one
-        ``(n, U_a)`` table of exponentials per axis, ``U_a`` the number of
+        ``(n, U_a)`` :meth:`axis_factor` table per axis, ``U_a`` the number of
         distinct coordinates of ``y`` on that axis, and never forms the
         ``n m`` displacements.  In one dimension the values equal
         :meth:`eval` at ``x_i - y_j`` bit for bit.  The result is
@@ -277,15 +297,10 @@ class GaussianIsotropicKernel:
         """
         xs, _ = as_param_array(x, self.dim)
         ys, _ = as_param_array(y, self.dim)
-        scale = -(4.0 * self.sigma**2)
         for a in range(self.dim):
             coords, inverse = np.unique(ys[:, a], return_inverse=True)
             whole = np.array_equal(inverse, np.arange(ys.shape[0]))  # y sorted and distinct
-            factor = np.subtract(xs[:, a, None], coords, out=out if a == 0 and whole else None)
-            np.multiply(factor, factor, out=factor)
-            with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-                np.divide(factor, scale, out=factor)
-            np.exp(factor, out=factor)
+            factor = self.axis_factor(xs[:, a], coords, out=out if a == 0 and whole else None)
             if not whole:
                 factor = np.take(factor, inverse, axis=1, out=out if a == 0 else None)
             if a == 0:
@@ -405,8 +420,7 @@ class DiscreteEmbedding:
                 idx = cut[start : start + rows]
                 k = k0[idx, None] + np.arange(width)
                 x = lo + k * h - t[idx, None]
-                with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-                    full = np.exp(-(x * x) / (sig * sig))  # squared profile
+                full = _gaussian(x * x, sig * sig)  # squared profile
                 inside = (k >= 0) & (k <= n - 1)
                 axis_ratio[idx] = np.sum(full * inside, axis=1) / np.sum(full, axis=1)
             ratio *= axis_ratio[inverse]
@@ -432,26 +446,17 @@ class DiscreteEmbedding:
         return self.atoms(self._single(theta, "theta")[None, :])[0]
 
     def atoms(self, thetas) -> np.ndarray:
-        """Stack of unit-norm atoms, shape ``(n, size)``: outer products of axis profiles.
+        """Stack of unit-norm atoms, shape ``(n, size)``.
 
-        Raises :class:`DomainError` for an atom with no mass on the lattice,
-        whose every sample underflows.
+        The window is checked, and each row is :meth:`add_atom` into zeros,
+        so it has that method's bits and its :class:`DomainError` for an
+        atom with no mass on the lattice.
         """
         pts, _ = as_param_array(thetas, self.dim)
         self.check_window(pts)
-        n = pts.shape[0]
-        out = np.ones((n, 1))
-        for a in range(self.dim):
-            profile = self._profiles(a, pts[:, a])
-            out = (out[:, :, None] * profile[:, None, :]).reshape(n, -1)
-        for theta, row in zip(pts, out):
-            norm = np.linalg.norm(row)  # the 1-D norm keeps each atom batch-independent
-            if norm == 0.0:
-                raise DomainError(
-                    f"atom at theta={theta.tolist()} has no mass on the sampling "
-                    f"lattice: sigma {self.kernel.sigma} is too small for its step"
-                )
-            row /= norm
+        out = np.zeros((pts.shape[0], self.size))
+        for row, theta in zip(out, pts):
+            self.add_atom(row, theta)
         return out
 
     def add_atom(self, signal: np.ndarray, theta) -> None:
@@ -459,11 +464,11 @@ class DiscreteEmbedding:
 
         The atom is the outer product of the unit-norm axis profiles, added
         ``_SLAB_ROWS`` first-axis slices at a time, so no second tensor of
-        ``size`` samples is formed.  Its samples may differ from
-        :meth:`atom`'s, which normalises the whole product, in the last
-        bits.  The window is not checked.  Raises :class:`DomainError` for
-        a signal that is not a C-contiguous float array of ``size``
-        samples, and for an atom with no mass on the lattice.
+        ``size`` samples is formed.  :meth:`atom` and :meth:`atoms` are this
+        atom added into zeros.  The window is not checked.  Raises
+        :class:`DomainError` for a signal that is not a C-contiguous float
+        array of ``size`` samples, and for an atom with no mass on the
+        lattice.
         """
         if signal.size != self.size or signal.dtype != float or not signal.flags.c_contiguous:
             raise DomainError(f"need a C-contiguous float tensor of {self.size} samples")
@@ -513,8 +518,13 @@ class DiscreteEmbedding:
         return np.concatenate([slab for _, slab in self.correlation_slabs(signal, axes)])
 
     def _unit_profiles(self, a: int, coords: np.ndarray) -> np.ndarray:
-        """:meth:`_profiles` with each row divided by its norm; a zero norm raises :class:`DomainError`."""
-        profile = self._profiles(a, coords)
+        """Unit-norm axis-``a`` profiles of atoms centred at ``coords``, shape ``(len(coords), n_a)``.
+
+        A profile with no mass on the lattice raises :class:`DomainError`.
+        """
+        x = self.axes[a] - coords[:, None]
+        np.multiply(x, x, out=x)
+        profile = _gaussian(x, 2.0 * self.kernel.sigma**2)
         norms = np.linalg.norm(profile, axis=1)
         if not np.all(norms > 0.0):
             raise DomainError(
@@ -523,12 +533,3 @@ class DiscreteEmbedding:
             )
         profile /= norms[:, None]
         return profile
-
-    def _profiles(self, a: int, coords: np.ndarray) -> np.ndarray:
-        """Unnormalised axis-``a`` profiles of atoms centred at ``coords``, shape ``(len(coords), n_a)``."""
-        x = self.axes[a] - coords[:, None]
-        np.multiply(x, x, out=x)
-        np.negative(x, out=x)
-        with np.errstate(over="ignore"):  # a tiny sigma overflows to -inf: exp gives 0
-            np.divide(x, 2.0 * self.kernel.sigma**2, out=x)
-        return np.exp(x, out=x)

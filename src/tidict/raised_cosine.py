@@ -15,14 +15,15 @@ ties the number of cosine terms to the target rank ``L``:
 
 Instances are immutable.  Construction rejects non-finite values,
 canonicalizes the sign of each frequency vector (first nonzero component
-made positive), prunes terms with negligible weight, and sorts terms by
-frequency so that equal kernels have identical serialized forms.
+made positive), and sorts terms by frequency so that equal kernels have
+identical serialized forms.  It keeps every term, however small its weight:
+the Kronecker expansion of a multi-axis grid has products of axis weights
+far below any fixed cutoff, and dropping one would break the rank rule.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,17 +34,22 @@ from .kernels import as_param_array
 
 __all__ = ["RaisedCosineKernel", "ValidationReport"]
 
-WEIGHT_PRUNE_TOL = 1e-12
+# largest |lambda0| of an even rank, and smallest 1-D weight decompose_gram_1d accepts
+WEIGHT_TOL = 1e-12
 FREQ_DISTINCT_TOL = 1e-8
+
+
+def leading_entries(freqs: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero entry, 0 for an all-zero row.
+
+    The sign rule of frequency vectors: a row is canonical when this is positive.
+    """
+    return freqs[np.arange(freqs.shape[0]), np.argmax(freqs != 0.0, axis=1)]
 
 
 def _canonical_rows(freqs: np.ndarray) -> np.ndarray:
     """Flip frequency rows so the first nonzero component is positive."""
-    out = freqs.copy()
-    for i, row in enumerate(out):
-        nz = np.nonzero(row)[0]
-        if nz.size and row[nz[0]] < 0:
-            out[i] = -row
+    out = np.where(leading_entries(freqs)[:, None] < 0.0, -freqs, freqs)
     # normalize away negative zeros for stable serialization
     return out + 0.0
 
@@ -103,17 +109,8 @@ class RaisedCosineKernel:
             raise DomainError(
                 f"got {w.shape[0]} weights for {f.shape[0]} frequency vectors"
             )
-        # checked before pruning, which would drop a NaN weight as "tiny"
         if not (np.isfinite(lam) and np.isfinite(w).all() and np.isfinite(f).all()):
             raise DomainError("raised-cosine lambda0, weights and frequencies must be finite")
-        keep = np.abs(w) >= WEIGHT_PRUNE_TOL
-        if not np.all(keep):
-            warnings.warn(
-                f"pruned {int(np.sum(~keep))} raised-cosine term(s) with |weight| "
-                f"< {WEIGHT_PRUNE_TOL:g}",
-                stacklevel=2,
-            )
-            w, f = w[keep], f[keep]
         f = _canonical_rows(f)
         order = np.lexsort(f.T[::-1]) if f.shape[0] else np.array([], dtype=int)
         w, f = w[order], f[order]
@@ -198,12 +195,13 @@ class RaisedCosineKernel:
                 f"term count {self.num_terms} != floor(rank/2) = {k_expected}"
             )
         if self.rank % 2 == 0:
-            if abs(self.lambda0) > WEIGHT_PRUNE_TOL:
+            if abs(self.lambda0) > WEIGHT_TOL:
                 issues.append(
                     f"even rank {self.rank} requires lambda0 = 0, got {self.lambda0:.3e}"
                 )
         else:
-            if not self.lambda0 > WEIGHT_PRUNE_TOL:
+            # a product of odd axes has lambda0 = prod lambda0_a, which may be tiny
+            if not self.lambda0 > 0.0:
                 issues.append(
                     f"odd rank {self.rank} requires lambda0 > 0, got {self.lambda0:.3e}"
                 )

@@ -29,6 +29,7 @@ subtracted, so the error's rounding floor near the center scales with
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,14 @@ __all__ = ["multi_indices", "TaylorApproximation"]
 def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
     """All derivative multi-indices with ``|alpha| <= order``.
 
-    Ordered by total degree, then lexicographically, so the list starts
-    with the zero index and its length is ``binomial(order + dim, dim)``.
+    Ordered by total degree, then in decreasing lexicographic order
+    (``(1, 0)`` before ``(0, 1)``), so the list starts with the zero index
+    and its length is ``binomial(order + dim, dim)``.
     """
     if dim < 1 or order < 0:
         raise DomainError("need dim >= 1 and order >= 0")
-    out: list[tuple[int, ...]] = []
-    for total in range(order + 1):
-
-        def rec(prefix: tuple[int, ...], remaining: int, axes_left: int):
-            if axes_left == 1:
-                out.append(prefix + (remaining,))
-                return
-            for v in range(remaining, -1, -1):
-                rec(prefix + (v,), remaining - v, axes_left - 1)
-
-        rec((), total, dim)
-    return out
+    exponents = itertools.product(range(order, -1, -1), repeat=dim)
+    return sorted(filter(lambda alpha: sum(alpha) <= order, exponents), key=sum)
 
 
 def _hermite(x, max_order: int) -> np.ndarray:

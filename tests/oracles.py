@@ -115,8 +115,9 @@ def fine_grid_argmax(embedding, box, signal, points_per_axis):
 def outer_product_atom(embedding, theta):
     """One unit-norm sampled atom, built as an outer product one axis at a time.
 
-    No window check: this is the arithmetic reference for
-    ``DiscreteEmbedding.atoms``, which must match it bit for bit.
+    No window check, and normalised as a whole: the reference for
+    ``DiscreteEmbedding.atoms``, which normalises each axis profile instead
+    and so may differ from it in the last bits.
     """
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     vec = np.ones(())

@@ -23,6 +23,8 @@ from tidict import (
     decompose_grid,
     verify_decomposition,
 )
+from tidict.cli import main
+from tidict.gram import PSD_TOL, RESIDUAL_TOL
 
 
 class TestNodeGrid:
@@ -428,6 +430,27 @@ class TestDecomposeSeparable:
         report = verify_decomposition(build_gram(k3, grid), rc)
         assert report.residual < 1e-12
         assert report.psd_margin > -1e-10
+
+    def test_kronecker_expansion_keeps_every_term(self, tmp_path, capsys):
+        # every axis decomposes, and products of axis weights fall far below
+        # 1e-12; dropping one breaks the rank rule
+        for dim, count in ((2, 14), (2, 20), (3, 10)):
+            kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+            grid = NodeGrid([0.0] * dim, [0.5] * dim, [count] * dim)
+            rc = decompose_grid(kernel, grid)
+            assert rc.rank == grid.size and rc.num_terms == grid.size // 2 and rc.validate().ok
+            assert np.min(rc.weights) < 1e-12
+            report = verify_decomposition(build_gram(kernel, grid, condition_limit=np.inf), rc)
+            assert report.residual <= RESIDUAL_TOL, (dim, count)
+            assert report.psd_margin >= -PSD_TOL, (dim, count)
+        # the CLI still refuses 14x14 on the condition limit, at cond(G) 9.5e19
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 2},
+            "grid": {"origin": [0.0, 0.0], "spacing": 0.5, "counts": [14, 14]},
+        }))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "error: Gram condition number 9.509e+19 exceeds limit" in capsys.readouterr().err
 
     def test_rejects_multidimensional_axis_kernel(self):
         rc2 = RaisedCosineKernel(

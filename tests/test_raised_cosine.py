@@ -67,16 +67,17 @@ class TestConstruction:
         assert rc.freqs.ravel().tolist() == [0.3, 2.5]
         assert rc.weights.tolist() == [0.7, 0.2]
 
-    def test_tiny_weights_pruned_with_warning(self):
-        with pytest.warns(UserWarning, match="pruned"):
-            rc = RaisedCosineKernel(
-                dim=1,
-                lambda0=0.0,
-                weights=[0.9, 1e-15],
-                freqs=[[1.0], [2.0]],
-                rank=2,
-            )
-        assert rc.num_terms == 1
+    def test_tiny_positive_weights_are_kept(self):
+        # a product of odd axes may have a constant weight far below 1e-12
+        rc = RaisedCosineKernel(
+            dim=1,
+            lambda0=1e-20,
+            weights=[0.9, 1e-15],
+            freqs=[[1.0], [2.0]],
+            rank=5,
+        )
+        assert rc.num_terms == 2 and rc.weights.tolist() == [0.9, 1e-15]
+        assert rc.validate().ok
 
     @pytest.mark.parametrize(
         "lambda0, weights, freqs",

@@ -213,8 +213,11 @@ class TestApproximation:
         assert np.max(np.abs(taylor.errors(thetas) - ref)) < 1e-9
 
     def test_matches_sampled_errors_1d_order_19(self, gauss1):
-        # the closed form cancels 1 - 2 m.d + m.H m; near the center that
-        # leaves an absolute floor of about sqrt(eps) on the error
+        # the order-0 term enters as 2 (1 - kappa(delta)) by expm1, but the
+        # terms of order >= 1 still cancel in -2 m.d + m.H m: where the true
+        # error is near 0 the computed one sits on an absolute floor below
+        # sqrt(eps), 5.3e-9 at |delta| = 0.5; far out, where the expansion
+        # diverges, the two agree to about 1e-15 relative
         emb = DiscreteEmbedding(gauss1, [-6.5], [16.0], 256)
         taylor = TaylorApproximation.build(emb, 4.75, 19)
         thetas = np.linspace(0.0, 9.5, 77)
