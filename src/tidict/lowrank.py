@@ -23,10 +23,11 @@ once.  Every sweep takes its points in the fixed, padded blocks of
 :func:`tidict.kernels.blocks`: memory does not grow with the points, and
 results are deterministic, though a point's last bits may depend on its
 block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error` runs
-its blocks on up to two threads through :func:`tidict.kernels.sweep`,
-each writing into a workspace allocated once per call; its results do
-not depend on the number of threads.  The other sweeps run in the
-calling thread.
+its blocks through :func:`tidict.kernels.sweep` on the calling thread and
+at most one pool thread, which take alternate blocks, each writing into
+its own workspace that the calling thread allocates once per call; its
+results do not depend on the number of threads.  The other sweeps run in
+the calling thread.
 """
 
 from __future__ import annotations
@@ -167,12 +168,13 @@ class LowRankDictionary:
         ``sqrt(1 - 2 <a, a~> + <a~, a~>)``, clipped at zero before the
         square root to absorb roundoff.
 
-        Points are taken in the blocks of :func:`tidict.kernels.blocks`, on
-        up to two threads by :func:`tidict.kernels.sweep`.  Each worker
-        writes a block's coefficients, solve and kernel values into its own
+        Points are taken in the blocks of :func:`tidict.kernels.blocks` by
+        :func:`tidict.kernels.sweep`: the calling thread and at most one
+        pool thread, taking alternate blocks.  Each worker writes a
+        block's coefficients, solve and kernel values into its own
         workspace of two ``(B, K)`` and four ``(B, L)`` arrays, ``B`` the
-        block length, which the calling thread allocates once per call.
-        The errors do not depend on the number of workers.
+        first block's length, which the calling thread allocates once per
+        call.  The errors do not depend on the number of workers.
         """
         pts, single = as_param_array(theta, self.dim)
         err = np.empty(pts.shape[0])

@@ -47,6 +47,20 @@ def leading_entries(freqs: np.ndarray) -> np.ndarray:
     return freqs[np.arange(freqs.shape[0]), np.argmax(freqs != 0.0, axis=1)]
 
 
+def _number(value) -> float:
+    """A JSON number of a kernel file as a float; ``true`` and ``"1.5"`` are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _numbers(value) -> list:
+    """A JSON list of numbers as floats; a string is not a list of its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return [_number(c) for c in value]
+
+
 def _canonical_rows(freqs: np.ndarray) -> np.ndarray:
     """Flip frequency rows so the first nonzero component is positive."""
     out = np.where(leading_entries(freqs)[:, None] < 0.0, -freqs, freqs)
@@ -241,13 +255,18 @@ class RaisedCosineKernel:
 
         ``dim`` may be omitted whenever at least one cosine term is present,
         in which case it is inferred from the first frequency vector.
+        ``lambda0``, every ``lambda`` and every entry of each ``w`` list must
+        be numbers, and ``rank`` a whole number; a boolean, a string or a
+        fraction raises :class:`DomainError`.
         """
         try:
-            lambda0 = float(data["lambda0"])
+            lambda0 = _number(data["lambda0"])
             terms = data["terms"]
             rank = int(data["rank"])
-            weights = np.array([float(t["lambda"]) for t in terms])
-            freqs = np.array([[float(c) for c in t["w"]] for t in terms])
+            if rank != _number(data["rank"]):
+                raise ValueError(f"rank {data['rank']!r} is not a whole number")
+            weights = np.array([_number(t["lambda"]) for t in terms])
+            freqs = np.array([_numbers(t["w"]) for t in terms])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed raised-cosine kernel data: {exc!r}") from exc
         if dim is None:

@@ -644,12 +644,33 @@ class TestValidate:
                 "malformed",
                 id="int-overflow",
             ),
+            # decompose's own kernel.json with one field corrupted
+            pytest.param(lambda d: d.update(rank=6.5), "malformed", id="fractional-rank"),
+            pytest.param(lambda d: d.update(rank="6"), "malformed", id="string-rank"),
+            pytest.param(lambda d: d.update(lambda0=False), "malformed", id="boolean-lambda0"),
+            pytest.param(
+                lambda d: d["terms"][0].update({"lambda": str(d["terms"][0]["lambda"])}),
+                "malformed",
+                id="string-lambda",
+            ),
+            pytest.param(
+                lambda d: d["terms"][0].update(w=[str(d["terms"][0]["w"][0])]),
+                "malformed",
+                id="string-w-entry",
+            ),
+            pytest.param(lambda d: d["terms"][2].update(w="2"), "malformed", id="string-w"),
         ],
     )
     def test_unreadable_kernel_json_exits_1(self, tmp_path, capsys, content, message):
         cfg = write_config(tmp_path, config_1d())
         kernel = tmp_path / "kernel.json"
-        if isinstance(content, str):
+        if callable(content):
+            assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            data = json.loads(kernel.read_text())
+            content(data)
+            kernel.write_text(json.dumps(data))
+        elif isinstance(content, str):
             kernel.write_text(content)
         elif content is not None:
             kernel.write_bytes(content)
@@ -712,7 +733,7 @@ def test_sweep_outputs_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, pay
     if chunk is not None:
         monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
     for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
         for sub in ("errormap", "compare-taylor"):
             assert main([sub, "--config", cfg, "--out", str(tmp_path / str(cpus))]) == 0
     for name in ("errormap.csv", "compare.csv"):

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from tidict import (
     ParamBox,
     TruncationError,
 )
-from tidict.kernels import as_param_array
+from tidict.kernels import as_param_array, sweep
 
 
 class TestParamBox:
@@ -306,3 +309,64 @@ class TestDiscreteEmbedding:
             DiscreteEmbedding(gauss2, [-2.0], [2.0], 64)  # dim mismatch
         with pytest.raises(DomainError):
             DiscreteEmbedding(gauss1, [-2.0], [2.0], 1)
+
+
+class TestSweep:
+    @staticmethod
+    def _cpus(monkeypatch, cpus, chunk=10):
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    @pytest.mark.parametrize(
+        "block, on_caller", [(0, True), (1, False)], ids=["calling-thread", "pool-thread"]
+    )
+    def test_a_block_error_reaches_the_caller(self, monkeypatch, block, on_caller):
+        # 45 rows in 5 blocks on two workers: block 0 runs on the calling thread, block 1 on the pool's
+        self._cpus(monkeypatch, 2)
+        caller, before, raised = threading.get_ident(), threading.active_count(), []
+
+        def body(dst, ws, rows):
+            if rows[0, 0] == 10 * block:
+                raised.append(threading.get_ident() == caller)
+                raise RuntimeError(f"block {block}")
+
+        with pytest.raises(RuntimeError, match=f"block {block}"):
+            sweep(body, np.empty(45), np.arange(45.0)[:, None], workspace=lambda rows: None)
+        assert raised == [on_caller]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_worker_runs_its_blocks_in_its_own_workspace(self, monkeypatch, cpus):
+        # 65 rows in 7 blocks, the last padded from 5 rows to 8
+        self._cpus(monkeypatch, cpus)
+        monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", 3)
+        made, seen = [], {}
+
+        def workspace(rows):
+            made.append(rows)
+            return [len(made) - 1]
+
+        def body(dst, ws, rows):
+            seen[int(rows[0, 0]) // 10] = (ws[0], threading.get_ident())
+            dst[:] = rows[: len(dst), 0]
+
+        out = np.empty(65)
+        sweep(body, out, np.arange(65.0)[:, None], workspace=workspace)
+        assert made == [10] * cpus
+        assert sorted(seen) == list(range(7))
+        assert all(ws == b % cpus for b, (ws, _) in seen.items())
+        threads = {ws: {t for w, t in seen.values() if w == ws} for ws in range(cpus)}
+        assert threads[0] == {threading.get_ident()}
+        assert all(len(t) == 1 for t in threads.values())
+        assert np.array_equal(out, np.arange(65.0))
+
+    def test_no_rows_make_no_workspace_and_run_no_block(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        calls = []
+        sweep(
+            lambda *args: calls.append("body"),
+            np.empty(0),
+            np.empty((0, 2)),
+            workspace=lambda rows: calls.append("workspace"),
+        )
+        assert calls == []

@@ -215,7 +215,7 @@ class TestApproxError:
         pts = np.random.default_rng(20).uniform(-1.0, 10.5, size=100_000)
         errors = []
         for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
             errors.append(ld.approx_error(pts))
         assert np.array_equal(errors[0], errors[1])
 
@@ -224,10 +224,10 @@ class TestApproxError:
         ld = _gaussian_dictionary(2, (2, 3))
         pts = rng.uniform(-1.0, 2.0, size=(5_000, 2))
         monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         want = ld.approx_error(pts)
         monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -275,7 +275,7 @@ class TestBoundedMemory:
 
     def test_sweeps_run_in_bounded_memory_on_many_cpus(self, gauss1, monkeypatch):
         # the cap on sweep()'s workers, not the CPU count, holds the limit
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         self.test_sweeps_run_in_bounded_memory(gauss1)
 
     def test_approx_inner_runs_in_bounded_memory(self, rng):
