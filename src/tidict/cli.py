@@ -329,6 +329,9 @@ def main(argv=None) -> int:
         # unreadable, so this is the output directory
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a config asking for more than the machine holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -180,14 +180,24 @@ def _schema_error(raw) -> tuple[str, str] | None:
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path), best[1]
 
 
+def _integer(value) -> int:
+    """An integer setting as a C long, like each count of :func:`_int_vector`.
+
+    From 2**63 on numpy raises :class:`OverflowError`, which
+    :func:`load_config` reports as a number out of range.
+    """
+    return int(np.asarray(value, dtype=int))
+
+
 def _overrides(cls, section: dict) -> dict:
     """The entries of ``section`` that set a defaulted field of dataclass ``cls``.
 
-    Each value is coerced to the type of the field's default, so the
-    dataclass stays the only place that states the default.
+    Each value is coerced to the type of the field's default, an integer
+    by :func:`_integer`, so the dataclass stays the only place that states
+    the default.
     """
     return {
-        f.name: type(f.default)(section[f.name])
+        f.name: (_integer if isinstance(f.default, int) else type(f.default))(section[f.name])
         for f in fields(cls)
         if f.default is not MISSING and f.name in section
     }
@@ -323,7 +333,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
             scfg.get("theta_true", evaluation.center), dim, "select_atom.theta_true"
         ),
         snr_db=snr,
-        oracle_per_axis=int(scfg.get("oracle_per_axis", 200)),
+        oracle_per_axis=_integer(scfg.get("oracle_per_axis", 200)),
         search=search,
         settings=SelectAtomSettings(**_overrides(SelectAtomSettings, scfg)),
     )
@@ -339,6 +349,6 @@ def _resolve(raw: dict) -> ExperimentConfig:
         taylor_center=taylor_center,
         select_atom=select_atom,
         tolerances=Tolerances(**_overrides(Tolerances, raw.get("tolerances", {}))),
-        num_pairs=int(raw.get("validation", {}).get("num_pairs", 1000)),
+        num_pairs=_integer(raw.get("validation", {}).get("num_pairs", 1000)),
         out_dir=raw.get("out_dir"),
     )

@@ -38,7 +38,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
-from .kernels import GaussianIsotropicKernel, lattice
+from .kernels import GaussianIsotropicKernel, lattice, lattice_size
 from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_TOL, RaisedCosineKernel, leading_entries
 
 __all__ = [
@@ -90,6 +90,7 @@ class NodeGrid:
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "spacing", spc)
         object.__setattr__(self, "counts", tuple(int(c) for c in cnt))
+        lattice_size(self.counts)  # refuses 2**63 nodes or more
 
     @property
     def dim(self) -> int:
@@ -97,7 +98,7 @@ class NodeGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return lattice_size(self.counts)
 
     @cached_property
     def axes(self) -> tuple:

@@ -13,7 +13,8 @@ place where atoms are sampled or correlated with a sampled signal: atom
 selection's test atom, node projections and fine-grid oracle, oracles and
 demos.  Its window check guards only those atoms; the closed-form errors
 of the surrogate and of the Taylor baseline read no window.  Node grids
-and evaluation grids alike are laid out by :func:`lattice`.
+and evaluation grids alike are laid out by :func:`lattice`, and the
+Gaussian cross term reads a node grid by its axes, one table per axis.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "DiscreteEmbedding",
     "as_param_array",
     "lattice",
+    "lattice_size",
 ]
 
 
@@ -171,6 +173,13 @@ def _gaussian(sq: np.ndarray, scale: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def lattice_size(counts) -> int:
+    """``prod(counts)``, exact; from 2**63 points on, past numpy's indices, :class:`DomainError`."""
+    if (size := math.prod(counts)) >= 2**63:
+        raise DomainError(f"a lattice of {size} points is out of range")
+    return size
+
+
 def lattice(axes) -> np.ndarray:
     """Points of the lattice ``axes[0] x ... x axes[d-1]``, shape ``(prod(len), d)``.
 
@@ -276,33 +285,31 @@ class GaussianIsotropicKernel:
         np.multiply(d, d, out=d)
         return _gaussian(d, 4.0 * self.sigma**2)
 
-    def cross(self, x, y, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel matrix ``kappa(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
+    def cross(self, x, axes, out: np.ndarray | None = None) -> np.ndarray:
+        """Kernel matrix ``kappa(x_i - theta_l)`` against a grid's nodes, shape ``(n, L)``.
 
-        The kernel is a product of one factor per axis, so this takes one
-        ``(n, U_a)`` :meth:`axis_factor` table per axis, ``U_a`` the number of
-        distinct coordinates of ``y`` on that axis, and never forms the
-        ``n m`` displacements.  In one dimension the values equal
-        :meth:`eval` at ``x_i - y_j`` bit for bit.  The result is
-        C-contiguous, like :meth:`eval` of the displacements reshaped.
-
-        ``out``, an ``(n, m)`` float array, receives the result, with the
-        same bits.  When ``y`` is sorted and distinct on the first axis, as
-        on a 1-D grid, that axis's table is built in ``out``, so a 1-D
-        cross allocates nothing of size ``n m``.
+        ``axes`` are the grid's coordinates per axis (``NodeGrid.axes``) and
+        the nodes their :func:`lattice`.  One ``(n, len(axes[a]))``
+        :meth:`axis_factor` table per axis is multiplied in, in axis order,
+        by broadcasting into ``out`` viewed as ``(n, len(axes[0]), ...)``; in
+        1-D the table is built in ``out``, equal to :meth:`eval` bit for bit.
+        So nothing of size ``n L`` is allocated but ``out``, which must be a
+        C-contiguous ``(n, L)`` float array, or :class:`DomainError` is raised.
         """
         xs, _ = as_param_array(x, self.dim)
-        ys, _ = as_param_array(y, self.dim)
-        for a in range(self.dim):
-            coords, inverse = np.unique(ys[:, a], return_inverse=True)
-            whole = np.array_equal(inverse, np.arange(ys.shape[0]))  # y sorted and distinct
-            factor = self.axis_factor(xs[:, a], coords, out=out if a == 0 and whole else None)
-            if not whole:
-                factor = np.take(factor, inverse, axis=1, out=out if a == 0 else None)
+        counts = tuple(len(coords) for coords in axes)
+        shape = (xs.shape[0], math.prod(counts))
+        out = np.empty(shape) if out is None else out
+        if len(counts) != self.dim or out.shape != shape or not out.flags.c_contiguous:
+            raise DomainError(f"need {self.dim} axes and a C-contiguous {shape} float array")
+        view = out.reshape(xs.shape[0], *counts)
+        for a, coords in enumerate(axes):
+            table = self.axis_factor(xs[:, a], coords, out=out if self.dim == 1 else None)
+            table = table.reshape(shape[:1] + tuple(c if b == a else 1 for b, c in enumerate(counts)))
             if a == 0:
-                out = factor
+                view[...] = table  # in 1-D table is out, and numpy copies nothing
             else:
-                out *= factor
+                view *= table
         return out
 
     def __repr__(self) -> str:
@@ -358,6 +365,7 @@ class DiscreteEmbedding:
         object.__setattr__(self, "lower", box.lower)
         object.__setattr__(self, "upper", box.upper)
         object.__setattr__(self, "samples_per_axis", tuple(int(c) for c in counts))
+        lattice_size(self.samples_per_axis)  # refuses 2**63 samples or more
 
     @property
     def dim(self) -> int:
@@ -380,7 +388,7 @@ class DiscreteEmbedding:
     @property
     def size(self) -> int:
         """Total number of lattice points (the ambient dimension of atom vectors)."""
-        return int(np.prod(self.samples_per_axis))
+        return lattice_size(self.samples_per_axis)
 
     def _single(self, theta, name: str) -> np.ndarray:
         th, single = as_param_array(theta, self.dim, name=name)

@@ -16,10 +16,13 @@ the feature-map factorization of ``rc``.  Every dictionary is built as
 decomposes the grid.
 
 With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
-error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  A block of points is solved
-as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`: matrix
-products against the eigenvectors of ``G`` that the Gram system computed
-once.  Every sweep takes its points in the fixed, padded blocks of
+error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  Both cross terms are taken
+of differences to the node grid: ``k`` from the grid's axes, and ``c``
+and atom selection's surrogate from phases relative to the first node,
+so a grid far from 0 behaves as the same grid at 0.  A block of points
+is solved as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`:
+matrix products against the eigenvectors of ``G`` that the Gram system
+computed once.  Every sweep takes its points in the fixed, padded blocks of
 :func:`tidict.kernels.blocks`: memory does not grow with the points, and
 results are deterministic, though a point's last bits may depend on its
 block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error` runs
@@ -174,7 +177,8 @@ class LowRankDictionary:
         block's coefficients, solve and kernel values into its own
         workspace of two ``(B, K)`` and four ``(B, L)`` arrays, ``B`` the
         first block's length, which the calling thread allocates once per
-        call.  The errors do not depend on the number of workers.
+        call; nothing else of size ``B L`` is allocated, on any grid.  The
+        errors do not depend on the number of workers.
         """
         pts, single = as_param_array(theta, self.dim)
         err = np.empty(pts.shape[0])
@@ -188,7 +192,7 @@ class LowRankDictionary:
             (phase, trig), (c, t, x, r) = ([a[:n] for a in group] for group in ws)
             self.rc.cross(rows, nodes, out=c, scratch=(phase, trig, t))
             self.gram.solve_rows(c, out=x, scratch=(t, r))
-            k = self.kernel.cross(rows, nodes, out=r)
+            k = self.kernel.cross(rows, self.grid.axes, out=r)
             approx = np.multiply(c, x, out=t).sum(axis=1)
             cross = np.multiply(k, x, out=t).sum(axis=1)
             sq = np.clip(1.0 - 2.0 * cross + approx, 0.0, None)
@@ -201,8 +205,8 @@ class LowRankDictionary:
     # continuous atom selection
 
     def _trig_coeffs(self, p: np.ndarray):
-        """Collapse node sums: f(theta) = const + sum_k alpha_k cos + beta_k sin."""
-        phases = self.nodes @ self.rc.freqs.T  # (L, K)
+        """Collapse node sums: f(origin + t) = const + sum_k alpha_k cos(w_k . t) + beta_k sin(w_k . t)."""
+        phases = (self.nodes - self.grid.origin) @ self.rc.freqs.T  # (L, K)
         const = float(self.rc.lambda0 * np.sum(p))
         alpha = self.rc.weights * (p @ np.cos(phases))
         beta = self.rc.weights * (p @ np.sin(phases))
@@ -223,7 +227,9 @@ class LowRankDictionary:
         and ranked by one stable sort on the value, keeping the lexicographic
         order of :meth:`ParamBox.grid` among ties.  Deterministic for fixed
         inputs; exact ties, among seeds and among maximizers, are broken
-        toward the lexicographically smallest parameter vector.
+        toward the lexicographically smallest parameter vector.  The seeds
+        and the ascent run in coordinates relative to the grid origin, which
+        is added back to the result.
 
         Returns
         -------
@@ -243,6 +249,9 @@ class LowRankDictionary:
             raise DomainError("projections must be finite")
         const, alpha, beta = self._trig_coeffs(p)
         freqs = self.rc.freqs
+        # the search runs relative to the grid origin, where the phases keep their digits
+        origin = self.grid.origin
+        lower, upper = search.lower - origin, search.upper - origin
 
         if self.rc.num_terms == 0:
             # constant surrogate: every point is optimal, return the smallest
@@ -262,7 +271,7 @@ class LowRankDictionary:
             hess = -(freqs.T * curv) @ freqs
             return float(val), grad, hess
 
-        seeds = search.grid(settings.coarse_per_axis)
+        seeds = search.grid(settings.coarse_per_axis) - origin
         vals = np.empty(seeds.shape[0])
         for dst, rows in blocks(vals, seeds):
             dst[:] = f_batch(rows)[: len(dst)]
@@ -272,15 +281,13 @@ class LowRankDictionary:
 
         candidates = []
         for x0 in starts:
-            x, fx = self._newton_ascent(
-                f_grad_hess, x0, search.lower, search.upper, settings
-            )
+            x, fx = self._newton_ascent(f_grad_hess, x0, lower, upper, settings)
             candidates.append((x, fx))
         best = max(fx for _, fx in candidates)
         tied = [x for x, fx in candidates if fx >= best - _TIE_TOL]
         tied.sort(key=lambda x: tuple(x))
         theta = tied[0]
-        return theta, float(f_batch(theta.reshape(1, -1))[0])
+        return origin + theta, float(f_batch(theta.reshape(1, -1))[0])
 
     @staticmethod
     def _newton_ascent(f_grad_hess, x0, lower, upper, settings):

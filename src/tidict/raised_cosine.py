@@ -154,14 +154,20 @@ class RaisedCosineKernel:
         Each term splits as ``cos(w.x) cos(w.y) + sin(w.x) sin(w.y)``, so the
         cost is ``(n + m) K`` trigonometric evaluations, not ``n m K``.  Unlike
         :meth:`feature_map` it takes no square roots, so any weight sign works.
+        The phases are taken of ``x - y_0`` and ``y - y_0``, which leaves
+        every ``x_i - y_j`` as it is and keeps the phases small when the
+        stacks lie far from 0.
 
         ``out``, an ``(n, m)`` float array, receives the result.  ``scratch``
         is ``(phase, trig, terms)``, two ``(n, K)`` arrays and one ``(n, m)``
-        array that are overwritten.  With both given, nothing of size ``n``
-        is allocated.  The bits are the same either way.
+        array that are overwritten.  With both given, the one allocation of
+        size ``n`` is the shifted ``(n, dim)`` points.  The bits are the same
+        either way.
         """
         xs, _ = as_param_array(x, self.dim)
         ys, _ = as_param_array(y, self.dim)
+        if ys.shape[0]:
+            xs, ys = xs - ys[0], ys - ys[0]
         phase, trig, terms = (None, None, None) if scratch is None else scratch
         py, w = ys @ self.freqs.T, self.weights
         px = np.matmul(xs, self.freqs.T, out=phase)

@@ -219,8 +219,9 @@ def lu_solve(matrix, rhs):
 
 def lu_node_errors(ld):
     """Approximation errors at the nodes, ``1 - 2 k^T G^-1 c + c^T G^-1 c``, solved by LU."""
-    c = ld.coefficients(ld.nodes)
-    k = ld.kernel.cross(ld.nodes, ld.nodes)
+    nodes = ld.nodes
+    c = ld.coefficients(nodes)
+    k = ld.kernel.eval((nodes[:, None, :] - nodes[None, :, :]).reshape(-1, ld.dim)).reshape(ld.rank, ld.rank)
     solved = lu_solve(ld.gram.matrix, c.T).T
     sq = 1.0 - 2.0 * np.sum(k * solved, axis=1) + np.sum(c * solved, axis=1)
     return np.sqrt(np.clip(sq, 0.0, None))

@@ -740,6 +740,46 @@ def test_sweep_outputs_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, pay
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
+# the README's example config, and a 1-D spacing-0.5 grid of 12 nodes
+README_EXAMPLE = {
+    "seed": 7,
+    "kernel": {"kernel": "gaussian", "sigma": 1.0, "dim": 2},
+    "grid": {"origin": [0.0, 0.0], "spacing": 1.0, "counts": [2, 3]},
+    "evaluation": {"resolution": 50},
+    "taylor": {"order": 2},
+    "select_atom": {"theta_true": [0.37, 0.81], "snr_db": 20.0},
+}
+GRID_1D_12 = config_1d(
+    grid={"origin": 0.0, "spacing": 0.5, "counts": 12}, taylor={"order": 11}, select_atom={"theta_true": 2.3}
+)
+
+
+def _translated(payload, origin):
+    moved = json.loads(json.dumps(payload))
+    moved["grid"]["origin"] = (np.asarray(payload["grid"]["origin"]) + origin).tolist()
+    moved["select_atom"]["theta_true"] = (np.asarray(payload["select_atom"]["theta_true"]) + origin).tolist()
+    return moved
+
+
+@pytest.mark.parametrize("payload, origin", [(README_EXAMPLE, 1e10), (GRID_1D_12, 1e6)], ids=["readme-2d", "1d-12"])
+def test_a_grid_far_from_zero_runs_as_one_at_zero(tmp_path, capsys, payload, origin):
+    # cross terms and the surrogate's phases are differences to the node grid
+    results = []
+    for shift in (0.0, origin):
+        out = tmp_path / str(shift)
+        cfg = write_config(tmp_path, _translated(payload, shift), name=f"{shift}.json")
+        for sub in SUBCOMMANDS:
+            assert main([sub, "--config", cfg, "--out", str(out)]) == 0, (shift, sub, capsys.readouterr().err)
+        checks = json.loads((out / "validate_report.json").read_text())["checks"]
+        selected = json.loads((out / "select_atom.json").read_text())["theta_selected"]
+        results.append(({c["name"]: c["value"] for c in checks}, np.asarray(selected) - shift))
+    (values0, theta0), (values, theta) = results
+    for name, value in values.items():
+        assert 0.5 * values0[name] <= value <= 2.0 * values0[name], name
+    if payload is GRID_1D_12:
+        assert np.max(np.abs(theta - theta0)) <= 1e-9
+
+
 class TestErrorPaths:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["decompose", "--config", str(tmp_path / "nope.json")])
@@ -789,6 +829,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "sub, section, key, value",
+        [
+            ("select-atom", "select_atom", "oracle_per_axis", 1e20),
+            ("select-atom", "select_atom", "coarse_per_axis", 1e20),
+            ("validate", "validation", "num_pairs", 1e20),
+            # 14.2 PiB of pairs: numpy's request fails before it touches memory
+            ("validate", "validation", "num_pairs", 10**15),
+        ],
+        ids=["oracle-per-axis", "coarse-per-axis", "num-pairs-past-int64", "num-pairs-past-memory"],
+    )
+    def test_oversized_setting_exits_1(self, tmp_path, capsys, sub, section, key, value):
+        cfg = write_config(tmp_path, config_2d(**{section: {key: value}}))
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_no_subcommand_exits_1(self):
         assert main([]) == 1

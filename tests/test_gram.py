@@ -55,6 +55,13 @@ class TestNodeGrid:
         with pytest.raises(DomainError):
             NodeGrid(origin=[0.0, 0.0], spacing=[1.0], counts=[3])
 
+    def test_lattice_past_64_bit_indices_refused(self):
+        # 2^63 - 1 is numpy's last index; np.prod wrapped 2^66 nodes to 0
+        assert NodeGrid([0.0] * 3, [1.0] * 3, [2**21 - 1] * 3).size == (2**21 - 1) ** 3
+        for count in (2**21, 2**22):
+            with pytest.raises(DomainError, match="out of range"):
+                NodeGrid([0.0] * 3, [1.0] * 3, [count] * 3)
+
 
 class TestBuildGram:
     def test_1d_toeplitz_exact(self, gauss1):

@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "tidict").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = (
+    sorted((ROOT / "src" / "tidict").glob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("**/*.py"))
+)
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +36,7 @@ def unused_imports(source: str) -> list:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix().removeprefix("src/"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -310,6 +310,14 @@ class TestDiscreteEmbedding:
         with pytest.raises(DomainError):
             DiscreteEmbedding(gauss1, [-2.0], [2.0], 1)
 
+    def test_lattice_past_64_bit_indices_refused(self):
+        gauss3 = GaussianIsotropicKernel(sigma=1.0, dim=3)
+        # 2^63 - 1 is numpy's last index; np.prod wrapped 2^66 samples to 0
+        assert DiscreteEmbedding(gauss3, [0.0] * 3, [1.0] * 3, 2**21 - 1).size == (2**21 - 1) ** 3
+        for counts in (2**21, 2**22):
+            with pytest.raises(DomainError, match="out of range"):
+                DiscreteEmbedding(gauss3, [0.0] * 3, [1.0] * 3, counts)
+
 
 class TestSweep:
     @staticmethod

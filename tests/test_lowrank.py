@@ -172,6 +172,25 @@ class TestInnerProducts:
             assert np.array_equal(ld.approx_inner(a, b), want), chunk
 
 
+class TestTranslation:
+    @pytest.mark.parametrize("origin", [2.0**20, 2.0**30])
+    def test_a_translated_grid_gives_the_same_bits(self, origin, rng):
+        # acceptance test 02's families, where every translation below is exact
+        for spacing in (0.5, 1.0):
+            for counts in ((2,), (3,), (4,), (6,), (2, 2), (2, 3), (3, 3)):
+                dim = len(counts)
+                kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+                ld0, ld = (
+                    LowRankDictionary(kernel, build_gram(kernel, NodeGrid([o] * dim, [spacing] * dim, counts)))
+                    for o in (0.0, origin)
+                )
+                # test 02's box, the nodes padded by one spacing, on multiples of 2^-16
+                box = (-spacing, np.array(counts) * spacing)
+                a, b = np.round(rng.uniform(*box, size=(2, 300, dim)) * 2**16) / 2**16
+                assert np.array_equal(ld.approx_inner(a + origin, b + origin), ld0.approx_inner(a, b))
+                assert np.array_equal(ld.approx_error(a + origin), ld0.approx_error(a))
+
+
 class TestApproxError:
     def test_zero_at_nodes(self, ld6, ld23):
         assert np.max(ld6.approx_error(ld6.nodes)) < 1e-7
@@ -237,19 +256,42 @@ class TestApproxError:
         assert all(np.array_equal(g, want) for g in got)
 
     def test_cross_term_from_axis_tables(self, rng):
-        # kappa(x_i - y_j) from per-axis tables: bitwise equal to eval in 1-D
-        grids = [NodeGrid([0.0] * d, [0.5] * d, [4] * d).nodes for d in (1, 2)]
-        for y in [rng.integers(0, 3, size=(n, d)) * 0.5 for d, n in ((1, 20), (2, 6), (3, 12))] + grids:
-            nodes, dim = y.shape
+        # kappa(x_i - theta_l) against a grid's axes: bitwise equal to eval in 1-D
+        for spacing, count in ((0.5, 1), (0.5, 20), (1.0, 6), (0.3, 7)):
+            grid = NodeGrid([-0.7], [spacing], [count])
+            kernel = GaussianIsotropicKernel(sigma=0.7, dim=1)
+            x = rng.uniform(-2.0, 4.0, size=31)
+            got = kernel.cross(x, grid.axes)
+            want = kernel.eval(np.subtract.outer(x, grid.nodes[:, 0]).ravel()).reshape(31, count)
+            assert got.shape == (31, count) and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+        # several axes, a one-node axis among them: the per-axis product ((f0 f1) f2)
+        for counts in ((4, 4), (2, 3), (3, 1), (3, 3, 3), (2, 1, 4)):
+            dim = len(counts)
+            grid = NodeGrid([0.25] * dim, [0.5] * dim, counts)
             kernel = GaussianIsotropicKernel(sigma=0.7, dim=dim)
             x = rng.uniform(-2.0, 4.0, size=(31, dim))
-            got = kernel.cross(x, y)
-            want = kernel.eval((x[:, None, :] - y[None, :, :]).reshape(-1, dim)).reshape(31, nodes)
-            assert got.shape == (31, nodes) and got.flags.c_contiguous
-            if dim == 1:
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-15
+            got = kernel.cross(x, grid.axes)
+            want = kernel.eval((x[:, None, :] - grid.nodes[None, :, :]).reshape(-1, dim)).reshape(31, grid.size)
+            assert got.shape == (31, grid.size) and got.flags.c_contiguous
+            assert np.max(np.abs(got - want)) <= 1e-15, counts
+            tables = [kernel.axis_factor(x[:, a], coords) for a, coords in enumerate(grid.axes)]
+            product = tables[0]
+            for table in tables[1:]:
+                product = (product[:, :, None] * table[:, None, :]).reshape(31, -1)
+            assert np.array_equal(got, product), counts
+            out = np.full((31, grid.size), np.nan)
+            assert kernel.cross(x, grid.axes, out=out) is out and np.array_equal(out, got)
+
+    def test_cross_term_refuses_an_out_it_cannot_view(self, rng):
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=2)
+        axes = NodeGrid([0.0, 0.0], [1.0, 1.0], [2, 3]).axes
+        x = rng.uniform(0.0, 1.0, size=(5, 2))
+        for out in (np.empty((6, 5)).T, np.empty((5, 12))[:, ::2], np.empty((5, 7)), np.empty((4, 6))):
+            with pytest.raises(DomainError):
+                kernel.cross(x, axes, out=out)
+        with pytest.raises(DomainError):
+            kernel.cross(x, axes[:1])
 
 
 class TestBoundedMemory:
@@ -277,6 +319,21 @@ class TestBoundedMemory:
         # the cap on sweep()'s workers, not the CPU count, holds the limit
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         self.test_sweeps_run_in_bounded_memory(gauss1)
+
+    def test_cross_term_allocates_no_block_of_nodes(self, rng):
+        # 4,096 rows against the 216 nodes of 6x6x6 into a preallocated out:
+        # from a point stack, its per-axis gathers peaked at 7.1 MiB
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=3)
+        axes = NodeGrid([0.0] * 3, [1.0] * 3, (6, 6, 6)).axes
+        x = rng.uniform(0.0, 5.0, size=(4096, 3))
+        out = np.empty((4096, 216))
+        tracemalloc.start()
+        try:
+            kernel.cross(x, axes, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_approx_inner_runs_in_bounded_memory(self, rng):
         # 1e4 pairs against 108 cosine terms: in one block, their phases,
