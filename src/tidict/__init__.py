@@ -20,7 +20,6 @@ from .errors import (
     TruncationError,
 )
 from .gram import (
-    DecompositionReport,
     GramSystem,
     NodeGrid,
     build_gram,
@@ -51,7 +50,6 @@ __all__ = [
     "NoValidDecomposition",
     "TidictError",
     "TruncationError",
-    "DecompositionReport",
     "GramSystem",
     "NodeGrid",
     "build_gram",

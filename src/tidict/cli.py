@@ -86,7 +86,7 @@ def _build_dictionary(
 def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:
     """Decompose the node Gram matrix and write kernel + quality report."""
     ld = _build_dictionary(cfg)
-    rc, report = ld.rc, ld.report
+    rc = ld.rc
     rc.to_json(out / "kernel.json")
     _write_json(
         out / "decompose_report.json",
@@ -94,15 +94,15 @@ def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:
             "rank": rc.rank,
             "num_terms": rc.num_terms,
             "lambda0": rc.lambda0,
-            "residual": report.residual,
-            "psd_margin": report.psd_margin,
+            "residual": ld.residual,
+            "psd_margin": ld.psd_margin,
             "condition_number": ld.gram.condition_number,
             "axis_condition_numbers": list(ld.gram.axis_condition_numbers),
         },
     )
     print(
         f"decomposed rank {rc.rank}: {rc.num_terms} cosine term(s), "
-        f"residual {report.residual:.3e}, condition {ld.gram.condition_number:.3e}"
+        f"residual {ld.residual:.3e}, condition {ld.gram.condition_number:.3e}"
     )
     return 0
 
@@ -234,7 +234,6 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     structure = ld.rc.validate()
-    report = ld.report
     node_err = float(np.max(ld.approx_error(ld.nodes)))
 
     pairs_a = cfg.evaluation.sample(rng, cfg.num_pairs)
@@ -249,10 +248,10 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
         {"name": name, "passed": passed, "value": value, "threshold": threshold}
         for name, value, threshold, passed in (
             ("structure", float(len(structure.issues)), 0.0, structure.ok),
-            ("decomposition_residual", report.residual, tol.residual,
-             report.residual <= tol.residual),
-            ("psd_margin", report.psd_margin, tol.psd_margin,
-             report.psd_margin >= -tol.psd_margin),
+            ("decomposition_residual", ld.residual, tol.residual,
+             ld.residual <= tol.residual),
+            ("psd_margin", ld.psd_margin, tol.psd_margin,
+             ld.psd_margin >= -tol.psd_margin),
             ("node_interpolation", node_err, tol.node_interpolation,
              node_err <= tol.node_interpolation),
             ("kernel_match", match, tol.kernel_match, match <= tol.kernel_match),

@@ -38,13 +38,12 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
-from .kernels import GaussianIsotropicKernel, lattice, lattice_size
+from .kernels import GaussianIsotropicKernel, blocks, int_counts, lattice, lattice_size
 from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_TOL, RaisedCosineKernel, leading_entries
 
 __all__ = [
     "NodeGrid",
     "GramSystem",
-    "DecompositionReport",
     "build_gram",
     "decompose_gram_1d",
     "decompose_gram_separable",
@@ -76,7 +75,7 @@ class NodeGrid:
     def __post_init__(self) -> None:
         org = np.atleast_1d(np.asarray(self.origin, dtype=float))
         spc = np.atleast_1d(np.asarray(self.spacing, dtype=float))
-        cnt = np.atleast_1d(np.asarray(self.counts, dtype=int))
+        cnt = np.atleast_1d(int_counts(self.counts, "grid counts"))
         if not (org.shape == spc.shape == cnt.shape) or org.ndim != 1:
             raise DomainError("origin, spacing and counts must have equal length")
         if not np.all(np.isfinite(org)) or not np.all(np.isfinite(spc)):
@@ -156,15 +155,12 @@ class GramSystem:
             raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds limit {condition_limit:.3e}")
         self._inv_eigvals = 1.0 / eigvals
         self._eigvecs = reduce(np.kron, axis_eigvecs)
+        self.factors = tuple(factors)
         self.matrix = reduce(np.kron, factors)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes
+        return self.grid.size
 
     def _spectral_rows(self, rows: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """``rows G^-1`` from the eigendecomposition alone, into ``out`` by way of ``scratch``."""
@@ -420,23 +416,20 @@ def decompose_grid(
     )
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Quality of a raised-cosine fit to a Gram matrix.
+def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> float:
+    """The largest ``|rc(delta) - kappa(delta)|`` over the node differences of ``gram``'s grid.
 
-    ``residual`` is the worst absolute mismatch over all node pairs, and
-    ``psd_margin`` the smallest eigenvalue of the raised-cosine Gram (it
-    should be nonnegative up to roundoff).  Callers judge them against
-    their own tolerances.
+    On the grid both kernels depend only on the index difference ``m``, at
+    ``delta = m * spacing``, and both are even, so the differences with
+    ``m_0 >= 0`` reach every node pair.  ``kappa`` there is the product of
+    the axis Gram rows, which gives the bits of ``gram.matrix``'s entries;
+    ``rc`` is evaluated in the blocks of :func:`tidict.kernels.blocks`.
     """
-
-    residual: float
-    psd_margin: float
-
-
-def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> DecompositionReport:
-    """Measure how well ``rc`` reproduces the Gram matrix on its node differences."""
-    rc_gram = rc.cross(gram.nodes, gram.nodes)
-    residual = float(np.max(np.abs(rc_gram - gram.matrix)))
-    psd_margin = float(np.linalg.eigvalsh(0.5 * (rc_gram + rc_gram.T))[0])
-    return DecompositionReport(residual=residual, psd_margin=psd_margin)
+    grid = gram.grid
+    steps = [np.arange(0 if a == 0 else 1 - c, c) for a, c in enumerate(grid.counts)]
+    deltas = lattice([m * s for m, s in zip(steps, grid.spacing)])
+    kappa = reduce(np.multiply.outer, [f[0, np.abs(m)] for f, m in zip(gram.factors, steps)]).ravel()
+    worst = np.empty_like(kappa)
+    for dst, rows, k in blocks(worst, deltas, kappa):
+        dst[:] = np.abs(rc.cross(rows, np.zeros((1, grid.dim)))[:, 0] - k)[: len(dst)]
+    return float(np.max(worst))

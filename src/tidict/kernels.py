@@ -173,6 +173,14 @@ def _gaussian(sq: np.ndarray, scale: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
+def int_counts(counts, name: str) -> np.ndarray:
+    """``counts`` as an int array; a count of 2**63 or more, past numpy's ints, is a :class:`DomainError`."""
+    try:
+        return np.asarray(counts, dtype=int)
+    except OverflowError:
+        raise DomainError(f"{name} {counts}: a count of 2**63 or more is out of range") from None
+
+
 def lattice_size(counts) -> int:
     """``prod(counts)``, exact; from 2**63 points on, past numpy's indices, :class:`DomainError`."""
     if (size := math.prod(counts)) >= 2**63:
@@ -310,6 +318,7 @@ class GaussianIsotropicKernel:
                 view[...] = table  # in 1-D table is out, and numpy copies nothing
             else:
                 view *= table
+            del table  # so that the next axis's table is not made beside it
         return out
 
     def __repr__(self) -> str:
@@ -358,7 +367,7 @@ class DiscreteEmbedding:
                 f"window dimension {box.dim} != kernel dimension {self.kernel.dim}"
             )
         counts = np.broadcast_to(
-            np.asarray(self.samples_per_axis, dtype=int), (box.dim,)
+            int_counts(self.samples_per_axis, "samples_per_axis"), (box.dim,)
         ).copy()
         if np.any(counts < 2):
             raise DomainError("samples_per_axis must be >= 2")

@@ -13,7 +13,7 @@ approximation quality and all downstream computations need kernel values
 only, never explicit atom vectors.  The exact-rank property follows from
 the feature-map factorization of ``rc``.  Every dictionary is built as
 ``LowRankDictionary(kernel, build_gram(kernel, grid))``, whose constructor
-decomposes the grid.
+decomposes the grid and checks its ``residual`` on the node differences.
 
 With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  Both cross terms are taken
@@ -36,6 +36,7 @@ the calling thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,9 +81,9 @@ class LowRankDictionary:
         Raised-cosine kernel matching ``gram`` on all node differences;
         by default :func:`~tidict.gram.decompose_grid` of the grid.
     check : bool
-        Verify the match on construction and raise
-        :class:`NoValidDecomposition` if the residual exceeds
-        ``residual_tol``.  Disable only to inspect invalid kernels.
+        Raise :class:`NoValidDecomposition` if :attr:`residual`, taken on
+        construction, exceeds ``residual_tol``.  Disable only to inspect
+        invalid kernels.  The dense :attr:`psd_margin` is formed on first read.
     """
 
     def __init__(
@@ -106,12 +107,18 @@ class LowRankDictionary:
         self.kernel = kernel
         self.gram = gram
         self.rc = rc
-        self.report = verify_decomposition(gram, rc)
-        if check and self.report.residual > residual_tol:
+        self.residual = verify_decomposition(gram, rc)
+        if check and self.residual > residual_tol:
             raise NoValidDecomposition(
                 f"raised-cosine kernel misses the node Gram matrix by "
-                f"{self.report.residual:.3e} (tolerance {residual_tol:g})"
+                f"{self.residual:.3e} (tolerance {residual_tol:g})"
             )
+
+    @cached_property
+    def psd_margin(self) -> float:
+        """Smallest eigenvalue of the dense ``L x L`` raised-cosine Gram, ``>= 0`` up to roundoff."""
+        g = self.rc.cross(self.nodes, self.nodes)
+        return float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
 
     # ------------------------------------------------------------------
     # basic geometry
@@ -130,7 +137,7 @@ class LowRankDictionary:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.gram.nodes
+        return self.grid.nodes
 
     def coefficients(self, theta) -> np.ndarray:
         """Interpolation coefficients ``c_l(theta) = rc(theta - theta_l)``.

@@ -98,7 +98,7 @@ def test_02_inner_products_depend_only_on_differences(families):
 
 def test_03_decomposition_residual_and_round_trip(families):
     tol = 1e-8
-    worst_residual = max(ld.report.residual for _, ld in families)
+    worst_residual = max(ld.residual for _, ld in families)
 
     worst_recovery = -1.0
     synthetic = [

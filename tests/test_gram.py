@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -25,6 +26,12 @@ from tidict import (
 )
 from tidict.cli import main
 from tidict.gram import PSD_TOL, RESIDUAL_TOL
+
+
+def _quality(kernel, grid, rc, **gram_options):
+    """``(residual, psd_margin)`` of ``rc`` on the Gram system of ``grid``."""
+    ld = LowRankDictionary(kernel, build_gram(kernel, grid, **gram_options), rc, check=False)
+    return ld.residual, ld.psd_margin
 
 
 class TestNodeGrid:
@@ -61,6 +68,10 @@ class TestNodeGrid:
         for count in (2**21, 2**22):
             with pytest.raises(DomainError, match="out of range"):
                 NodeGrid([0.0] * 3, [1.0] * 3, [count] * 3)
+        # one count past numpy's int64 raised OverflowError, not DomainError
+        for count in (2**63, 2**64, 10**30):
+            with pytest.raises(DomainError, match=f"{count}.*out of range"):
+                NodeGrid([0.0], [1.0], [count])
 
 
 class TestBuildGram:
@@ -419,9 +430,9 @@ class TestDecomposeSeparable:
         else:
             assert rc.lambda0 > 0.0
         assert rc.validate().ok
-        report = verify_decomposition(build_gram(gauss2, grid), rc)
-        assert report.residual < 1e-12
-        assert report.psd_margin > -1e-10
+        residual, psd_margin = _quality(gauss2, grid, rc)
+        assert residual < 1e-12
+        assert psd_margin > -1e-10
 
     @pytest.mark.parametrize(
         "counts", [(2, 2, 3), (3, 3, 3), (1, 2, 3)], ids=["2x2x3", "3x3x3", "1x2x3"]
@@ -434,9 +445,9 @@ class TestDecomposeSeparable:
         assert rc.rank == L and rc.num_terms == L // 2
         assert (rc.lambda0 > 0.0) == (L % 2 == 1)
         assert rc.validate().ok
-        report = verify_decomposition(build_gram(k3, grid), rc)
-        assert report.residual < 1e-12
-        assert report.psd_margin > -1e-10
+        residual, psd_margin = _quality(k3, grid, rc)
+        assert residual < 1e-12
+        assert psd_margin > -1e-10
 
     def test_kronecker_expansion_keeps_every_term(self, tmp_path, capsys):
         # every axis decomposes, and products of axis weights fall far below
@@ -447,9 +458,9 @@ class TestDecomposeSeparable:
             rc = decompose_grid(kernel, grid)
             assert rc.rank == grid.size and rc.num_terms == grid.size // 2 and rc.validate().ok
             assert np.min(rc.weights) < 1e-12
-            report = verify_decomposition(build_gram(kernel, grid, condition_limit=np.inf), rc)
-            assert report.residual <= RESIDUAL_TOL, (dim, count)
-            assert report.psd_margin >= -PSD_TOL, (dim, count)
+            residual, psd_margin = _quality(kernel, grid, rc, condition_limit=np.inf)
+            assert residual <= RESIDUAL_TOL, (dim, count)
+            assert psd_margin >= -PSD_TOL, (dim, count)
         # the CLI still refuses 14x14 on the condition limit, at cond(G) 9.5e19
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
@@ -490,9 +501,8 @@ class TestVerify:
     def test_good_decomposition_passes(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
         rc = decompose_grid(gauss1, grid6)
-        report = verify_decomposition(gram, rc)
-        assert report.residual < 1e-12
-        assert report.psd_margin > -1e-10
+        assert verify_decomposition(gram, rc) < 1e-12
+        assert LowRankDictionary(gauss1, gram, rc).psd_margin > -1e-10
 
     def test_perturbed_kernel_fails(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
@@ -504,5 +514,42 @@ class TestVerify:
             freqs=rc.freqs,
             rank=rc.rank,
         )
-        report = verify_decomposition(gram, off)
-        assert report.residual > 1e-3
+        assert verify_decomposition(gram, off) > 1e-3
+
+    @pytest.mark.parametrize(
+        "sigma, origin, spacing, counts",
+        [
+            (1.0, [0.0], [1.0], [1]),
+            (1.0, [0.0], [1.0], [2]),
+            (1.0, [0.0], [1.0], [6]),
+            (1.0, [0.0], [1.0], [7]),
+            (1.0, [0.0, 0.0], [1.0, 1.0], [2, 3]),
+            (1.0, [0.0, 0.0], [1.0, 1.0], [1, 4]),
+            (0.8, [1.0, -2.0], [0.9, 1.2], [3, 5]),
+            (1.0, [0.0] * 3, [1.0] * 3, [1, 2, 3]),
+            (1.0, [0.0] * 3, [1.0] * 3, [2, 2, 3]),
+        ],
+        ids=["1", "2", "6", "7", "2x3", "1x4", "3x5-moved", "1x2x3", "2x2x3"],
+    )
+    def test_difference_set_reaches_every_node_pair(self, sigma, origin, spacing, counts):
+        # the dense oracle: every node pair against the Kronecker product of the factors
+        kernel = GaussianIsotropicKernel(sigma=sigma, dim=len(counts))
+        grid = NodeGrid(origin, spacing, counts)
+        gram = build_gram(kernel, grid)
+        rc = decompose_grid(kernel, grid)
+
+        def all_pairs(rc):
+            return float(np.max(np.abs(rc.cross(grid.nodes, grid.nodes) - functools.reduce(np.kron, gram.factors))))
+
+        assert verify_decomposition(gram, rc) == pytest.approx(all_pairs(rc), rel=0.0, abs=4 * np.finfo(float).eps)
+        if rc.num_terms == 0:
+            return
+        # the last moves one term only, so the kernel is no longer even on each
+        # axis: on 2x3 a difference set with every m_a >= 0 missed its worst pair
+        first = rc.freqs.copy()
+        first[0] *= 1.3
+        for weights, freqs in ((rc.weights * 1.01, rc.freqs), (rc.weights, rc.freqs * 1.3), (rc.weights, first)):
+            off = RaisedCosineKernel(dim=rc.dim, lambda0=rc.lambda0, weights=weights, freqs=freqs, rank=rc.rank)
+            residual, dense = verify_decomposition(gram, off), all_pairs(off)
+            assert min(residual, dense) >= 1e-3
+            assert residual == pytest.approx(dense, rel=1e-12)

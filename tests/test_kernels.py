@@ -317,6 +317,10 @@ class TestDiscreteEmbedding:
         for counts in (2**21, 2**22):
             with pytest.raises(DomainError, match="out of range"):
                 DiscreteEmbedding(gauss3, [0.0] * 3, [1.0] * 3, counts)
+        # one count past numpy's int64 raised OverflowError, not DomainError
+        for count in (2**63, 2**64, 10**30):
+            with pytest.raises(DomainError, match=f"{count}.*out of range"):
+                DiscreteEmbedding(GaussianIsotropicKernel(sigma=1.0), [0.0], [1.0], count)
 
 
 class TestSweep:

@@ -55,8 +55,8 @@ class TestConstruction:
         assert ld6.rank == 6 and ld6.dim == 1
         assert ld6.grid is grid6 and np.array_equal(ld6.nodes, grid6.nodes)
         assert ld6.rc.to_dict() == decompose_grid(gauss1, grid6).to_dict()
-        assert ld6.report.residual < 1e-12
-        assert ld6.report.psd_margin > -1e-10
+        assert ld6.residual < 1e-12
+        assert ld6.psd_margin > -1e-10
 
     def test_mismatched_kernel_rejected(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
@@ -72,7 +72,7 @@ class TestConstruction:
             LowRankDictionary(gauss1, gram, wrong)
         # the escape hatch still records the failed verification
         ld = LowRankDictionary(gauss1, gram, wrong, check=False)
-        assert ld.report.residual > 1e-3
+        assert ld.residual > 1e-3
 
     def test_rank_must_match_nodes(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
@@ -333,7 +333,9 @@ class TestBoundedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        # holding an axis's table while the next one was made peaked at 514 KiB;
+        # one table is 192 KiB
+        assert peak < 400 * 2**10
 
     def test_approx_inner_runs_in_bounded_memory(self, rng):
         # 1e4 pairs against 108 cosine terms: in one block, their phases,
