@@ -233,7 +233,6 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
     ld = _build_dictionary(cfg, rc, check=False)
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
-    structure = ld.rc.validate()
     node_err = float(np.max(ld.approx_error(ld.nodes)))
 
     pairs_a = cfg.evaluation.sample(rng, cfg.num_pairs)
@@ -247,7 +246,7 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
     checks = [
         {"name": name, "passed": passed, "value": value, "threshold": threshold}
         for name, value, threshold, passed in (
-            ("structure", float(len(structure.issues)), 0.0, structure.ok),
+            ("structure", float(len(ld.structure.issues)), 0.0, ld.structure.ok),
             ("decomposition_residual", ld.residual, tol.residual,
              ld.residual <= tol.residual),
             ("psd_margin", ld.psd_margin, tol.psd_margin,
@@ -258,8 +257,8 @@ def cmd_validate(cfg: ExperimentConfig, out: Path, args) -> int:
             ("unit_norm", norm_dev, tol.unit_norm, norm_dev <= tol.unit_norm),
         )
     ]
-    if structure.issues:
-        checks[0]["issues"] = list(structure.issues)
+    if ld.structure.issues:
+        checks[0]["issues"] = list(ld.structure.issues)
 
     passed = all(c["passed"] for c in checks)
     _write_json(

@@ -181,7 +181,7 @@ def _schema_error(raw) -> tuple[str, str] | None:
 
 
 def _integer(value) -> int:
-    """An integer setting as a C long, like each count of :func:`_int_vector`.
+    """An integer setting as a C long, like each count of :func:`_vector` with ``dtype=int``.
 
     From 2**63 on numpy raises :class:`OverflowError`, which
     :func:`load_config` reports as a number out of range.
@@ -203,22 +203,17 @@ def _overrides(cls, section: dict) -> dict:
     }
 
 
-def _vector(value, dim: int, field: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def _vector(value, dim: int, field: str, dtype=float) -> np.ndarray:
+    """A per-axis setting as ``dim`` values of ``dtype``, one value repeated on every axis.
+
+    An integer of 2**63 or more raises :class:`OverflowError`, as in :func:`_integer`.
+    """
+    arr = np.atleast_1d(np.asarray(value, dtype=dtype))
     if arr.shape == (1,) and dim > 1:
         arr = np.repeat(arr, dim)
     if arr.shape != (dim,):
         raise ConfigError(f"{field}: expected {dim} value(s), got {arr.shape[0]}")
     return arr
-
-
-def _int_vector(value, dim: int, field: str) -> tuple:
-    arr = np.atleast_1d(np.asarray(value, dtype=int))
-    if arr.shape == (1,) and dim > 1:
-        arr = np.repeat(arr, dim)
-    if arr.shape != (dim,):
-        raise ConfigError(f"{field}: expected {dim} value(s), got {arr.shape[0]}")
-    return tuple(int(v) for v in arr)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -268,7 +263,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
     grid = NodeGrid(
         origin=_vector(gcfg["origin"], dim, "grid.origin"),
         spacing=_vector(gcfg["spacing"], dim, "grid.spacing"),
-        counts=_int_vector(gcfg["counts"], dim, "grid.counts"),
+        counts=_vector(gcfg["counts"], dim, "grid.counts", int),
     )
 
     glo, ghi = grid.bounds()
@@ -279,8 +274,8 @@ def _resolve(raw: dict) -> ExperimentConfig:
     eval_lower = _vector(ecfg.get("lower", glo), dim, "evaluation.lower")
     eval_upper = _vector(ecfg.get("upper", ghi), dim, "evaluation.upper")
     evaluation = ParamBox(eval_lower, eval_upper)
-    resolution = _int_vector(
-        ecfg.get("resolution", DEFAULT_RESOLUTION), dim, "evaluation.resolution"
+    resolution = _vector(
+        ecfg.get("resolution", DEFAULT_RESOLUTION), dim, "evaluation.resolution", int
     )
 
     pad = EMBEDDING_PAD_SIGMAS * kernel.sigma
@@ -295,10 +290,11 @@ def _resolve(raw: dict) -> ExperimentConfig:
         kernel=kernel,
         lower=emb_lower,
         upper=emb_upper,
-        samples_per_axis=_int_vector(
+        samples_per_axis=_vector(
             mcfg.get("samples_per_axis", DEFAULT_SAMPLES_PER_AXIS),
             dim,
             "embedding.samples_per_axis",
+            int,
         ),
         **_overrides(DiscreteEmbedding, mcfg),
     )
@@ -343,7 +339,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         kernel=kernel,
         grid=grid,
         evaluation=evaluation,
-        resolution=resolution,
+        resolution=tuple(resolution.tolist()),
         embedding=embedding,
         taylor_order=taylor_order,
         taylor_center=taylor_center,

@@ -16,7 +16,11 @@ polynomial in ``S`` whose roots are exactly the ``cos(w_k D)``.  Working in
 the Chebyshev basis keeps the companion (colleague) eigenproblem well
 conditioned on [-1, 1], where all roots must lie.  For odd ``L`` the
 constant term is removed first by differencing ``(S - I) g``, which keeps
-the remaining root count at ``K = floor(L / 2)``.
+the remaining root count at ``K = floor(L / 2)``.  The root finder rejects
+only complex or out-of-range roots and a frequency that collapses onto
+zero; whether the kernel is acceptable, its structure and its residual on
+the node differences, the :class:`~tidict.lowrank.LowRankDictionary`
+constructor decides.
 
 Nodes are a :class:`NodeGrid`, the one record of their layout, which the
 :class:`GramSystem` keeps.  They are handled separably: each axis is
@@ -39,7 +43,7 @@ import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
 from .kernels import GaussianIsotropicKernel, blocks, int_counts, lattice, lattice_size
-from .raised_cosine import FREQ_DISTINCT_TOL, WEIGHT_TOL, RaisedCosineKernel, leading_entries
+from .raised_cosine import FREQ_DISTINCT_TOL, RaisedCosineKernel, leading_entries
 
 __all__ = [
     "NodeGrid",
@@ -235,17 +239,16 @@ def _cheb_annihilator(y: np.ndarray, degree: int) -> np.ndarray:
     return np.concatenate([coef, [lead]])
 
 
-def decompose_gram_1d(
-    first_row: np.ndarray,
-    spacing: float,
-    residual_tol: float = RESIDUAL_TOL,
-) -> RaisedCosineKernel:
-    """Exact raised-cosine interpolation of a 1-D Gram first row.
+def decompose_gram_1d(first_row: np.ndarray, spacing: float) -> RaisedCosineKernel:
+    """Raised-cosine interpolation of a 1-D Gram first row.
 
-    Finds ``K = floor(L/2)`` frequencies and positive weights (plus a
-    constant term when ``L`` is odd) whose cosine sum reproduces
+    Finds ``K = floor(L/2)`` frequencies and their least-squares weights
+    (plus a constant term when ``L`` is odd) whose cosine sum reproduces
     ``first_row`` at every multiple of ``spacing``.  Frequencies are
-    returned in parameter units (radians per unit displacement).
+    returned in parameter units (radians per unit displacement).  The
+    weights' signs, the frequencies' distinctness and the residual are not
+    checked here: :meth:`RaisedCosineKernel.validate` and
+    :func:`verify_decomposition` report them.
 
     Parameters
     ----------
@@ -254,15 +257,15 @@ def decompose_gram_1d(
         entry must be 1 (unit-norm atoms).
     spacing : float
         Positive node spacing.
-    residual_tol : float
-        Maximum tolerated interpolation defect at the nodes.
 
     Raises
     ------
+    DomainError
+        If ``first_row`` is not a non-empty 1-D array starting with 1, or
+        ``spacing`` is not positive.
     NoValidDecomposition
         If the spectral roots are complex or outside [-1, 1] beyond
-        tolerance, recovered weights are nonpositive, frequencies collide,
-        or the residual exceeds ``residual_tol``.
+        tolerance, or a recovered frequency collapses onto zero.
     """
     g = np.atleast_1d(np.asarray(first_row, dtype=float))
     if g.ndim != 1:
@@ -306,27 +309,14 @@ def decompose_gram_1d(
     steps = np.sort(np.arccos(x))  # radians per grid step, ascending
 
     freqs = steps / spacing
-    if steps[0] / spacing < FREQ_DISTINCT_TOL:
+    if freqs[0] < FREQ_DISTINCT_TOL:
         raise NoValidDecomposition("a recovered frequency collapses onto zero")
-    if K > 1 and np.min(np.diff(freqs)) < FREQ_DISTINCT_TOL:
-        raise NoValidDecomposition(
-            f"recovered frequencies coalesce: {freqs.tolist()}"
-        )
 
     m = np.arange(L)[:, None]
     design = np.cos(m * steps[None, :])
     if odd:
         design = np.concatenate([np.ones((L, 1)), design], axis=1)
     lam, *_ = np.linalg.lstsq(design, g, rcond=None)
-    residual = float(np.max(np.abs(design @ lam - g)))
-    if residual > residual_tol:
-        raise NoValidDecomposition(
-            f"node residual {residual:.3e} exceeds tolerance {residual_tol:g}"
-        )
-    if np.min(lam) < WEIGHT_TOL:
-        raise NoValidDecomposition(
-            f"recovered weights are not strictly positive: {lam.tolist()}"
-        )
     lambda0 = float(lam[0]) if odd else 0.0
     weights = lam[1:] if odd else lam
     return RaisedCosineKernel(
@@ -364,10 +354,10 @@ def decompose_gram_separable(
     frequencies.  Each ``+-`` pair of frequency vectors folds into one
     cosine term of twice the weight, kept with its first nonzero component
     positive; the all-zero vector is the constant term.  The result has
-    rank equal to the product of the axis ranks; if it fails the structural
-    invariants of :meth:`RaisedCosineKernel.validate` (for instance because
-    axis frequencies collide), :class:`NoValidDecomposition` is raised.
-    One axis gives back its kernel, as ``2 (lambda_k / 2) = lambda_k``.
+    rank equal to the product of the axis ranks.  It is only expanded,
+    not checked: colliding axis frequencies, say, show up in its
+    :meth:`RaisedCosineKernel.validate`.  One axis gives back its kernel,
+    as ``2 (lambda_k / 2) = lambda_k``.
     """
     if len(per_axis) == 0:
         raise DomainError("need at least one axis kernel")
@@ -385,34 +375,28 @@ def decompose_gram_separable(
 
     lead = leading_entries(freqs)
     keep = lead > 0.0
-    rc = RaisedCosineKernel(
+    return RaisedCosineKernel(
         dim=len(per_axis),
         lambda0=float(np.sum(weights[lead == 0.0])),
         weights=2.0 * weights[keep],
         freqs=freqs[keep],
         rank=int(np.prod([axis.rank for axis in per_axis])),
     )
-    report = rc.validate()
-    if not report.ok:
-        raise NoValidDecomposition(f"separable expansion is invalid: {report}")
-    return rc
 
 
-def decompose_grid(
-    kernel: GaussianIsotropicKernel,
-    grid: NodeGrid,
-    residual_tol: float = RESIDUAL_TOL,
-) -> RaisedCosineKernel:
-    """Raised-cosine kernel matching ``kernel`` on all node differences of ``grid``.
+def decompose_grid(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> RaisedCosineKernel:
+    """Raised-cosine kernel meant to match ``kernel`` on all node differences of ``grid``.
 
     Each axis is decomposed by :func:`decompose_gram_1d` on its Gram first
     row (valid for kernels that factor over axes, such as the isotropic
     Gaussian), and the factors are expanded with
     :func:`decompose_gram_separable`, a 1-D grid as its one-axis case.
+    Whether the result is acceptable, its structure and its node residual,
+    the :class:`~tidict.lowrank.LowRankDictionary` constructor decides.
     """
     rows = _axis_rows(kernel, grid)
     return decompose_gram_separable(
-        [decompose_gram_1d(row, s, residual_tol) for row, s in zip(rows, grid.spacing)]
+        [decompose_gram_1d(row, s) for row, s in zip(rows, grid.spacing)]
     )
 
 

@@ -13,7 +13,9 @@ approximation quality and all downstream computations need kernel values
 only, never explicit atom vectors.  The exact-rank property follows from
 the feature-map factorization of ``rc``.  Every dictionary is built as
 ``LowRankDictionary(kernel, build_gram(kernel, grid))``, whose constructor
-decomposes the grid and checks its ``residual`` on the node differences.
+decomposes the grid and is the one place that decides whether the kernel
+is acceptable: its ``structure``, :meth:`RaisedCosineKernel.validate`, and
+its ``residual`` on the node differences.
 
 With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  Both cross terms are taken
@@ -80,10 +82,15 @@ class LowRankDictionary:
     rc : RaisedCosineKernel, optional
         Raised-cosine kernel matching ``gram`` on all node differences;
         by default :func:`~tidict.gram.decompose_grid` of the grid.
+    residual_tol : float
+        Largest :attr:`residual` a kernel may have.
     check : bool
-        Raise :class:`NoValidDecomposition` if :attr:`residual`, taken on
-        construction, exceeds ``residual_tol``.  Disable only to inspect
-        invalid kernels.  The dense :attr:`psd_margin` is formed on first read.
+        Raise :class:`NoValidDecomposition` if :attr:`structure`, the
+        :meth:`RaisedCosineKernel.validate` report, lists an issue or
+        :attr:`residual`, the largest mismatch on the node differences,
+        exceeds ``residual_tol``.  Both are taken on construction either
+        way; disable only to inspect invalid kernels.  The dense
+        :attr:`psd_margin` is formed on first read.
     """
 
     def __init__(
@@ -95,7 +102,7 @@ class LowRankDictionary:
         check: bool = True,
     ):
         if rc is None:
-            rc = decompose_grid(kernel, gram.grid, residual_tol=residual_tol)
+            rc = decompose_grid(kernel, gram.grid)
         if rc.dim != kernel.dim:
             raise DomainError(
                 f"raised-cosine dimension {rc.dim} != kernel dimension {kernel.dim}"
@@ -107,7 +114,10 @@ class LowRankDictionary:
         self.kernel = kernel
         self.gram = gram
         self.rc = rc
+        self.structure = rc.validate()
         self.residual = verify_decomposition(gram, rc)
+        if check and not self.structure.ok:
+            raise NoValidDecomposition(f"raised-cosine kernel is invalid: {self.structure}")
         if check and self.residual > residual_tol:
             raise NoValidDecomposition(
                 f"raised-cosine kernel misses the node Gram matrix by "

@@ -34,7 +34,7 @@ from .kernels import as_param_array
 
 __all__ = ["RaisedCosineKernel", "ValidationReport"]
 
-# largest |lambda0| of an even rank, and smallest 1-D weight decompose_gram_1d accepts
+# largest |lambda0| of an even rank
 WEIGHT_TOL = 1e-12
 FREQ_DISTINCT_TOL = 1e-8
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -599,6 +600,29 @@ class TestValidate:
         cond = json.loads((tmp_path / "d" / "decompose_report.json").read_text())["condition_number"]
         cfg = write_config(tmp_path, config_1d(tolerances={"condition_limit": cond / 2}), "limit.json")
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+
+    def test_reports_the_residual_of_a_fresh_decomposition(self, tmp_path, capsys):
+        # cond-1d's residual, 1.852e-10, is over a tolerance of 1e-12:
+        # decompose refuses the kernel, and validate reports every check
+        cfg = write_config(tmp_path, dict(COND_1D, tolerances={"residual": 1e-12}))
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        assert "misses the node Gram matrix by 1.852e-10 (tolerance 1e-12)" in capsys.readouterr().err
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+        checks = json.loads((tmp_path / "v" / "validate_report.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            "structure",
+            "decomposition_residual",
+            "psd_margin",
+            "node_interpolation",
+            "kernel_match",
+            "unit_norm",
+        ]
+        assert all(list(c) == ["name", "passed", "value", "threshold"] for c in checks)
+        assert all(math.isfinite(c["value"]) for c in checks)
+        structure, residual = checks[:2]
+        assert structure["passed"]
+        assert not residual["passed"] and f"{residual['value']:.3e}" == "1.852e-10"
+        assert residual["threshold"] == 1e-12
 
     @pytest.mark.parametrize(
         "content, message",

@@ -230,8 +230,6 @@ def test_conditioning_sweep_keeps_the_lu_node_floors():
         except IllConditionedError:
             assert not under_limit, (dim, spacing, counts)
             continue
-        except NoValidDecomposition:
-            continue
         assert under_limit, (dim, spacing, counts)
         accepted += 1
         ours = float(np.max(ld.approx_error(ld.nodes)))
@@ -352,13 +350,18 @@ class TestDecompose1D:
         with pytest.raises(NoValidDecomposition):
             decompose_gram_1d(np.array([1.0, 0.0, 1.0, 0.0]), 1.0)
 
-    def test_rejects_negative_weights(self):
+    def test_negative_weights_are_rejected_by_the_dictionary(self, gauss1):
+        # the root finder returns the weights it recovers; the structure
+        # check of the dictionary constructor refuses them
         bad = RaisedCosineKernel(
             dim=1, lambda0=0.0, weights=[1.2, -0.2], freqs=[[0.4], [1.3]], rank=4
         )
         g = bad.eval(np.arange(4.0))
-        with pytest.raises(NoValidDecomposition):
-            decompose_gram_1d(g, 1.0)
+        rc = decompose_gram_1d(g, 1.0)
+        assert any("nonpositive weights" in issue for issue in rc.validate().issues)
+        gram = build_gram(gauss1, NodeGrid([0.0], [1.0], [4]))
+        with pytest.raises(NoValidDecomposition, match="nonpositive weights"):
+            LowRankDictionary(gauss1, gram, rc=rc)
 
     def test_rejects_complex_spectral_roots(self):
         # built from a complex frequency pair, so the annihilator's roots
@@ -487,14 +490,17 @@ class TestDecomposeSeparable:
         assert rc.rank == 4 and rc.num_terms == 2
         assert rc.validate().ok
 
-    def test_rejects_colliding_axis_frequencies(self):
-        # a degenerate axis kernel with a repeated frequency merges terms
-        # and breaks the term count
+    def test_colliding_axis_frequencies_are_rejected_by_the_dictionary(self, gauss1):
+        # a degenerate axis kernel with a repeated frequency expands to
+        # coinciding terms, which the dictionary constructor refuses
         dup = RaisedCosineKernel(
             dim=1, lambda0=0.0, weights=[0.5, 0.5], freqs=[[0.9], [0.9]], rank=4
         )
-        with pytest.raises(NoValidDecomposition):
-            decompose_gram_separable([dup])
+        rc = decompose_gram_separable([dup])
+        assert any("coincide up to sign" in issue for issue in rc.validate().issues)
+        gram = build_gram(gauss1, NodeGrid([0.0], [1.0], [4]))
+        with pytest.raises(NoValidDecomposition, match="coincide up to sign"):
+            LowRankDictionary(gauss1, gram, rc=rc)
 
 
 class TestVerify:
