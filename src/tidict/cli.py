@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ._csvformat import format_rows
+from ._csvformat import workspace as csv_workspace
 from .config import ExperimentConfig, load_config
 from .errors import (
     ConfigError,
@@ -36,15 +37,12 @@ from .errors import (
     TruncationError,
 )
 from .gram import build_gram
-from .kernels import blocks
+from .kernels import blocks, sweep
 from .lowrank import LowRankDictionary
 from .raised_cosine import RaisedCosineKernel
 from .taylor import TaylorApproximation
 
 __all__ = ["build_parser", "main"]
-
-# rows formatted per block by _write_csv
-_CSV_BLOCK = 1024
 
 
 def _write_json(path: Path, obj) -> None:
@@ -55,15 +53,30 @@ def _write_csv(path: Path, header, *columns: np.ndarray) -> None:
     """Write a header line and the rows of ``columns`` side by side with 17 significant digits.
 
     Each of ``columns`` is a 1-D array or a 2-D stack of columns, all with
-    the same number of rows.  Rows are stacked and formatted ``_CSV_BLOCK``
-    at a time by :func:`~tidict._csvformat.format_rows`, so no copy of the
-    whole table is made; the bytes are those of ``np.savetxt(fmt="%.17g")``
-    of the stacked table.
+    the same number of rows.  The rows are formatted in the blocks of
+    :func:`~tidict.kernels.blocks` on the workers of
+    :func:`~tidict.kernels.sweep`: each stacks a block's columns into its
+    own workspace, which the calling thread allocates once per call, and
+    formats them there by :func:`~tidict._csvformat.format_rows`.  The
+    blocks reach the file in row order, so the bytes are those of
+    ``np.savetxt(fmt="%.17g")`` of the stacked table, whatever the number
+    of workers, and no copy of the whole table is made.
     """
+    edges = np.cumsum([0] + [1 if c.ndim == 1 else c.shape[1] for c in columns])
+
+    def workspace(rows):
+        return np.empty((rows, edges[-1])), csv_workspace(rows * edges[-1])
+
+    def body(dst, ws, *block):
+        table = ws[0][: len(dst)]
+        for c, lo, hi in zip(block, edges, edges[1:]):
+            table[:, lo:hi] = c[: len(dst)].reshape(len(dst), -1)
+        return format_rows(table, ws[1])
+
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, columns[0].shape[0], _CSV_BLOCK):
-            fh.write(format_rows(np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])))
+        # a CSV has no per-row result: its (rows, 0) out only counts the rows
+        sweep(body, np.empty((columns[0].shape[0], 0)), *columns, workspace=workspace, then=fh.write)
 
 
 def _theta_header(dim: int) -> list[str]:

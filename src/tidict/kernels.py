@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,7 +121,7 @@ def blocks(out: np.ndarray, *stacks: np.ndarray):
         yield (out[start:stop], *(pad_rows(s[start:stop]) for s in stacks))
 
 
-def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace) -> None:
+def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace, then=None) -> None:
     """Run ``body(dst, ws, *rows)`` on every block of :func:`blocks`, on up to ``_MAX_WORKERS`` threads.
 
     ``workspace(rows)`` returns the buffers that ``body`` writes into for
@@ -130,8 +131,14 @@ def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace) -> None:
     own workspace ``w``.  The calling thread is worker 0; a pool of the
     other workers is made for the call and shut down before it returns.
     Each block writes only its own ``dst``, so the results do not depend
-    on the number of workers.  ``body`` must not enter a traced span, whose
-    tracer keeps one stack.
+    on the number of workers.  ``body`` and ``then`` must not enter a
+    traced span, whose tracer keeps one stack.
+
+    ``then(result)``, if given, takes what ``body`` returned for each
+    block, in block order: the worker that ran a block waits until the
+    blocks before it are through ``then``, so a result may live in its
+    worker's workspace.  When a block raises, the other workers stop at
+    their next block or turn, and the calling thread raises the error.
 
     The calling thread makes every workspace, sized for the first block,
     which is the longest, so memory is workers x one workspace, whatever
@@ -144,10 +151,30 @@ def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace) -> None:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(len(parts), cpus, _MAX_WORKERS)
     spaces = [workspace(len(parts[0][-1])) for _ in range(workers)]
+    turn = threading.Condition()
+    done, failed = 0, False  # blocks through then; whether a worker raised
 
     def share(w):
-        for dst, *block in parts[w::workers]:
-            body(dst, spaces[w], *block)
+        nonlocal done, failed
+        try:
+            for i in range(w, len(parts), workers):
+                if failed:
+                    return
+                dst, *block = parts[i]
+                result = body(dst, spaces[w], *block)
+                if then is not None:
+                    with turn:
+                        turn.wait_for(lambda: done == i or failed)
+                        if failed:
+                            return
+                        then(result)
+                        done += 1
+                        turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
     if workers == 1:
         share(0)

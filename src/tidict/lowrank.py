@@ -27,12 +27,13 @@ matrix products against the eigenvectors of ``G`` that the Gram system
 computed once.  Every sweep takes its points in the fixed, padded blocks of
 :func:`tidict.kernels.blocks`: memory does not grow with the points, and
 results are deterministic, though a point's last bits may depend on its
-block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error` runs
-its blocks through :func:`tidict.kernels.sweep` on the calling thread and
-at most one pool thread, which take alternate blocks, each writing into
-its own workspace that the calling thread allocates once per call; its
-results do not depend on the number of threads.  The other sweeps run in
-the calling thread.
+block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error`, like
+the Taylor baseline's errors and the command line's CSV writer, runs its
+blocks through :func:`tidict.kernels.sweep` on the calling thread and at
+most one pool thread, which take alternate blocks, each writing into its
+own workspace that the calling thread allocates once per call; its
+results do not depend on the number of threads.  :meth:`approx_inner` and
+the seeds of :meth:`select_atom` run in the calling thread.
 """
 
 from __future__ import annotations
@@ -192,21 +193,27 @@ class LowRankDictionary:
         :func:`tidict.kernels.sweep`: the calling thread and at most one
         pool thread, taking alternate blocks.  Each worker writes a
         block's coefficients, solve and kernel values into its own
-        workspace of two ``(B, K)`` and four ``(B, L)`` arrays, ``B`` the
-        first block's length, which the calling thread allocates once per
-        call; nothing else of size ``B L`` is allocated, on any grid.  The
-        errors do not depend on the number of workers.
+        workspace of four ``(B, L)`` arrays, ``B`` the first block's
+        length, which the calling thread allocates once per call; the
+        raised-cosine phases and cosine table, ``(B, K)`` each, are taken
+        in the two arrays that the solve and the kernel values fill
+        later, which hold ``max(L, K)`` columns for a kernel with more
+        terms than ``L / 2``.  Nothing else of size ``B L`` is allocated,
+        on any grid.  The errors do not depend on the number of workers.
         """
         pts, single = as_param_array(theta, self.dim)
         err = np.empty(pts.shape[0])
         nodes = self.nodes
+        rank, terms = self.rank, self.rc.num_terms
 
         def workspace(rows):
-            return np.empty((2, rows, self.rc.num_terms)), np.empty((4, rows, self.rank))
+            return np.empty((4, rows * max(rank, terms)))
 
         def body(dst, ws, rows):
             n = rows.shape[0]
-            (phase, trig), (c, t, x, r) = ([a[:n] for a in group] for group in ws)
+            c, t, x, r = (w[: n * rank].reshape(n, rank) for w in ws)
+            # the phases and cosines are dead once the solve writes x and r
+            phase, trig = (w[: n * terms].reshape(n, terms) for w in ws[2:])
             self.rc.cross(rows, nodes, out=c, scratch=(phase, trig, t))
             self.gram.solve_rows(c, out=x, scratch=(t, r))
             k = self.kernel.cross(rows, self.grid.axes, out=r)

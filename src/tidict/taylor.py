@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kernels import DiscreteEmbedding, as_param_array, blocks
+from .kernels import DiscreteEmbedding, as_param_array, sweep
 
 __all__ = ["multi_indices", "TaylorApproximation"]
 
@@ -53,14 +53,14 @@ def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
     return sorted(filter(lambda alpha: sum(alpha) <= order, exponents), key=sum)
 
 
-def _hermite(x, max_order: int) -> np.ndarray:
+def _hermite(x, max_order: int, out: np.ndarray | None = None) -> np.ndarray:
     """Physicists' Hermite polynomials ``H_0 .. H_max_order`` at ``x``.
 
-    Built with the recurrence ``H_{n+1} = 2x H_n - 2n H_{n-1}``; the result
-    has shape ``x.shape + (max_order + 1,)``.
+    Built with the recurrence ``H_{n+1} = 2x H_n - 2n H_{n-1}``; the result,
+    written into ``out`` when given, has shape ``x.shape + (max_order + 1,)``.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (max_order + 1,))
+    out = np.empty(x.shape + (max_order + 1,)) if out is None else out
     h_prev, h = np.zeros_like(x), np.ones_like(x)
     for n in range(max_order + 1):
         out[..., n] = h
@@ -134,68 +134,91 @@ class TaylorApproximation:
     def dim(self) -> int:
         return self.embedding.dim
 
-    def _products(self, tables: np.ndarray) -> np.ndarray:
-        """``prod_a tables[:, a, alpha_a]`` for every multi-index, shape ``(n, L)``.
+    def _products(self, tables: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """``prod_a tables[:, a, alpha_a]`` for every multi-index, into the ``(n, L)`` array ``out``.
 
         ``tables`` has shape ``(n, dim, order + 1)``: per point and axis,
         one entry per derivative order.  The axes are multiplied one at a
-        time, in axis order, and the result is C-contiguous.
+        time, in axis order; from the second axis on each axis's entries
+        are gathered into ``scratch``, an array like ``out``, or into a new
+        array when it is None.
         """
         idx = np.array(self.alphas)
-        out = np.take(tables[:, 0], idx[:, 0], axis=1)
+        np.take(tables[:, 0], idx[:, 0], axis=1, out=out, mode="clip")
         for a in range(1, self.dim):
-            out *= np.take(tables[:, a], idx[:, a], axis=1)
+            out *= np.take(tables[:, a], idx[:, a], axis=1, out=scratch, mode="clip")
+        return out
+
+    def _powers(self, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Per point, axis and order ``n``, ``delta^n / n!`` into ``out``, shape ``(n, dim, order + 1)``.
+
+        It is the running product of ``delta / j`` for ``j = 1 .. n``.
+        """
+        delta = pts - self.center
+        out[:, :, 0] = 1.0
+        for n in range(1, self.order + 1):
+            np.multiply(out[:, :, n - 1], delta / n, out=out[:, :, n])
         return out
 
     def monomials(self, theta) -> np.ndarray:
-        """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index.
-
-        Per axis, ``delta^n / n!`` is the running product of ``delta / j``
-        for ``j = 1 .. n``.
-        """
+        """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index."""
         pts, single = as_param_array(theta, self.dim)
-        delta = pts - self.center
-        powers = np.empty(pts.shape + (self.order + 1,))
-        powers[:, :, 0] = 1.0
-        for n in range(1, self.order + 1):
-            np.multiply(powers[:, :, n - 1], delta / n, out=powers[:, :, n])
-        out = self._products(powers)
+        powers = self._powers(pts, np.empty(pts.shape + (self.order + 1,)))
+        out = self._products(powers, np.empty((pts.shape[0], self.rank)))
         return out[0] if single else out
 
     def errors(self, thetas: np.ndarray) -> np.ndarray:
         """Distance between the atom at each point and its Taylor surrogate.
 
-        Points are taken in the padded blocks of :func:`tidict.kernels.blocks`,
-        and ``m^T H m`` is one matrix product per block; whether a point's
-        bits depend on its block is up to the BLAS (see
-        :func:`tidict.kernels.pad_rows`).  The errors are those of the
-        continuous atoms, so a point near or beyond the embedding's window
-        is evaluated like any other.  Raises :class:`DomainError` when an
-        error is not finite.
+        Points are taken in the padded blocks of :func:`tidict.kernels.blocks`
+        by :func:`tidict.kernels.sweep`, as in
+        :meth:`~tidict.lowrank.LowRankDictionary.approx_error`: each worker
+        writes a block's per-axis tables into a ``(B, dim, order + 1)``
+        array and its monomials, derivatives and ``m H`` into ``(B, L)``
+        arrays of its own workspace, which the calling thread allocates
+        once per call; nothing else of size ``B L`` is allocated.  ``m^T H
+        m`` is one matrix product per block; whether a point's bits depend
+        on its block is up to the BLAS (see :func:`tidict.kernels.pad_rows`),
+        and they do not depend on the number of workers.  The errors are
+        those of the continuous atoms, so a point near or beyond the
+        embedding's window is evaluated like any other.  Raises
+        :class:`DomainError` when an error is not finite, naming the first
+        such point.
         """
         pts, _ = as_param_array(thetas, self.dim)
         two_sigma = 2.0 * self.embedding.kernel.sigma
         scale = two_sigma ** -np.arange(self.order + 1, dtype=float)
         out = np.empty(pts.shape[0])
-        for dst, rows in blocks(out, pts):
+
+        def workspace(rows):
+            # a third (B, L) array gathers the axes of a multi-axis product
+            return np.empty((rows, self.dim, self.order + 1)), np.empty((2 + (self.dim > 1), rows, self.rank))
+
+        def body(dst, ws, rows):
+            n = rows.shape[0]
+            tables, (mono, deriv, *spare) = ws[0][:n], (a[:n] for a in ws[1])
+            scratch = spare[0] if spare else None
             with np.errstate(over="ignore", invalid="ignore"):
                 x = (rows - self.center) / two_sigma
                 # d^n_{theta0} kappa_1(delta) per axis and order, then per index
-                deriv = self._products(
-                    scale * _hermite(x, self.order) * np.exp(-(x * x))[:, :, None]
-                )
+                _hermite(x, self.order, out=tables)
+                tables *= scale
+                tables *= np.exp(-(x * x))[:, :, None]
+                self._products(tables, deriv, scratch)
                 deriv -= self.gram[0]
-                mono = self.monomials(rows)
+                self._products(self._powers(rows, tables), mono, scratch)
                 mono[:, 0] = 0.0  # index 0 enters as 2 (1 - kappa(delta)) only
-                # padded, a short block sums like a longer one (see pad_rows)
-                quad = np.einsum("ij,ij->i", mono @ self.gram, mono)
                 cross = np.einsum("ij,ij->i", mono, deriv)
+                # padded, a short block sums like a longer one (see pad_rows)
+                quad = np.einsum("ij,ij->i", np.matmul(mono, self.gram, out=deriv), mono)
                 sq = -2.0 * np.expm1(-np.sum(x * x, axis=1)) - 2.0 * cross + quad
             dst[:] = np.sqrt(np.maximum(sq[: len(dst)], 0.0))
-            bad = np.flatnonzero(~np.isfinite(dst))
-            if bad.size:
-                raise DomainError(
-                    f"the Taylor error at theta={rows[bad[0]].tolist()} is not finite "
-                    f"(sigma {self.embedding.kernel.sigma}, order {self.order})"
-                )
+
+        sweep(body, out, pts, workspace=workspace)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise DomainError(
+                f"the Taylor error at theta={pts[bad[0]].tolist()} is not finite "
+                f"(sigma {self.embedding.kernel.sigma}, order {self.order})"
+            )
         return out

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 import warnings
@@ -176,13 +177,16 @@ def _csv_families():
 
 
 class TestWriteCsv:
-    BLOCK = tidict.cli._CSV_BLOCK
+    # tidict.kernels._CHUNK, patched below its 4,096 rows so that the savetxt
+    # oracle cases stay small
+    BLOCK = 1024
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 8 * BLOCK - 1, 8 * BLOCK, 8 * BLOCK + 1]
     )
-    def test_bytes_match_savetxt(self, tmp_path, rows, cols):
+    def test_bytes_match_savetxt(self, tmp_path, monkeypatch, rows, cols):
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", self.BLOCK)
         special = [-0.0, 5e-324, 1e300, 3.0, -7.0, 0.0, 0.1, -1e-300]
         values = np.random.default_rng(rows + cols).normal(size=rows * cols)
         values[: min(values.size, len(special))] = special[: values.size]
@@ -204,6 +208,55 @@ class TestWriteCsv:
         tidict.cli._write_csv(tmp_path / "got.csv", header, data)
         savetxt_csv(tmp_path / "want.csv", header, data)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_blocks_reach_the_file_in_order_under_contention(self, tmp_path, monkeypatch):
+        # blocks of 97 rows on 8 workers, switching threads as often as the interpreter can
+        data = np.random.default_rng(8).normal(size=(5_000, 3))
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        tidict.cli._write_csv(tmp_path / "one.csv", ["a", "b", "c"], data[:, :1], data[:, 1:])
+        want = (tmp_path / "one.csv").read_bytes()
+        monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(5):
+                tidict.cli._write_csv(tmp_path / f"{i}.csv", ["a", "b", "c"], data[:, :1], data[:, 1:])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all((tmp_path / f"{i}.csv").read_bytes() == want for i in range(5))
+
+    @pytest.mark.parametrize("block", [2, 3], ids=["calling-thread", "pool-thread"])
+    def test_a_failing_block_stops_the_writer(self, tmp_path, monkeypatch, block):
+        # on two workers the other one waits for its turn, or formats the next block
+        data = np.arange(1_000.0)[:, None]
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        format_rows = tidict.cli.format_rows
+
+        def failing(table, ws):
+            if table[0, 0] == block * 97:
+                raise OSError(f"block {block}")
+            return format_rows(table, ws)
+
+        monkeypatch.setattr(tidict.cli, "format_rows", failing)
+        before, raised = threading.active_count(), []
+
+        def write():
+            try:
+                tidict.cli._write_csv(tmp_path / "x.csv", ["a"], data)
+            except OSError as exc:
+                raised.append(str(exc))
+
+        start = time.perf_counter()
+        thread = threading.Thread(target=write, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert time.perf_counter() - start < 5.0
+        assert raised == [f"block {block}"]
+        assert threading.active_count() == before
 
     def test_runs_in_bounded_memory(self, tmp_path):
         # buffers are per block: the peak does not grow with the row count

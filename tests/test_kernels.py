@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 
 import numpy as np
@@ -371,6 +372,57 @@ class TestSweep:
         assert threads[0] == {threading.get_ident()}
         assert all(len(t) == 1 for t in threads.values())
         assert np.array_equal(out, np.arange(65.0))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_then_takes_the_results_in_block_order(self, monkeypatch, cpus):
+        # 65 rows in 7 blocks, switching threads as often as the interpreter can
+        self._cpus(monkeypatch, cpus)
+        monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", 3)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                seen.clear()
+                sweep(
+                    lambda dst, ws, rows: int(rows[0, 0]) // 10,
+                    np.empty((65, 0)),
+                    np.arange(65.0)[:, None],
+                    workspace=lambda rows: None,
+                    then=seen.append,
+                )
+                assert seen == list(range(7))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 3])
+    def test_a_then_error_wakes_the_other_worker(self, monkeypatch, block):
+        # 45 rows in 5 blocks on two workers: the worker of the next block waits for its turn
+        self._cpus(monkeypatch, 2)
+        before, raised = threading.active_count(), []
+
+        def then(i):
+            if i == block:
+                raise OSError(f"block {block}")
+
+        def run():
+            try:
+                sweep(
+                    lambda dst, ws, rows: int(rows[0, 0]) // 10,
+                    np.empty((45, 0)),
+                    np.arange(45.0)[:, None],
+                    workspace=lambda rows: None,
+                    then=then,
+                )
+            except OSError as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert raised == [f"block {block}"]
+        assert threading.active_count() == before
 
     def test_no_rows_make_no_workspace_and_run_no_block(self, monkeypatch):
         self._cpus(monkeypatch, 2)

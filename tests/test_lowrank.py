@@ -255,6 +255,41 @@ class TestApproxError:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, want) for g in got)
 
+    def test_workspace_holds_the_phases_in_the_solve_arrays(self, monkeypatch):
+        # one block of 4,096 rows against 20 nodes and 10 cosine terms, on one
+        # worker: four (B, L) arrays, 2.6 MB; with two (B, K) arrays of their
+        # own for the phases and cosines the workspace was 3.3 MB
+        ld = _gaussian_dictionary(1, (20,))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pts = np.linspace(-1.0, 10.5, 4096)
+        tracemalloc.start()
+        try:
+            err = ld.approx_error(pts)
+            peak = tracemalloc.get_traced_memory()[1] - err.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 4096 * 20 * 8 + 2**18
+
+    def test_a_kernel_with_more_terms_than_half_the_rank(self, monkeypatch, rng):
+        # a kernel file under validate may carry more terms than floor(L / 2),
+        # whose phases need more columns than the solve's (B, L) arrays
+        ld = _gaussian_dictionary(1, (6,))
+        rc = ld.rc
+        extra = RaisedCosineKernel(
+            1, rc.lambda0, np.concatenate([rc.weights, [1e-3] * 5]),
+            np.concatenate([rc.freqs, [[0.1], [0.2], [0.3], [0.4], [0.5]]]), rc.rank,
+        )
+        wide = LowRankDictionary(ld.kernel, ld.gram, extra, check=False)
+        assert wide.rc.num_terms == 8 > wide.rank
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pts = rng.uniform(-1.0, 3.5, size=1_000)
+        c = wide.coefficients(pts)
+        x = wide.gram.solve_rows(c)
+        k = wide.kernel.cross(pts, wide.grid.axes)
+        want = np.sqrt(np.clip(1.0 - 2.0 * np.sum(k * x, axis=1) + np.sum(c * x, axis=1), 0.0, None))
+        assert np.max(np.abs(wide.approx_error(pts) - want)) < 1e-12
+
     def test_cross_term_from_axis_tables(self, rng):
         # kappa(x_i - theta_l) against a grid's axes: bitwise equal to eval in 1-D
         for spacing, count in ((0.5, 1), (0.5, 20), (1.0, 6), (0.3, 7)):

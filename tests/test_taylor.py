@@ -1,4 +1,6 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +197,38 @@ class TestApproximation:
                 monkeypatch.setattr(tidict.kernels, "_CHUNK", chunk)
                 assert np.array_equal(taylor.errors(thetas), want)
             monkeypatch.undo()
+
+    def test_errors_do_not_depend_on_the_worker_count(self, emb2, gauss1, monkeypatch):
+        # 2,000 points in blocks of 97 on 1, 2 and 8 workers, in 1-D and 2-D
+        emb1 = DiscreteEmbedding(gauss1, [-6.5], [16.0], 256)
+        cases = (
+            (TaylorApproximation.build(emb1, 4.75, 19), np.linspace(0.0, 9.5, 2_000)),
+            (
+                TaylorApproximation.build(emb2, [0.0, 0.0], 2),
+                np.random.default_rng(6).uniform(-0.5, 0.5, size=(2_000, 2)),
+            ),
+        )
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        for taylor, thetas in cases:
+            got = []
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", workers)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
+                got.append(taylor.errors(thetas))
+            assert all(np.array_equal(g, got[0]) for g in got[1:])
+
+    def test_a_non_finite_error_names_the_first_point_on_any_worker_count(self, monkeypatch):
+        # bad points in blocks 1, 2 and 3 of 97 rows: on two workers block 2
+        # runs on the calling thread, which may reach it before block 1 is done
+        emb = DiscreteEmbedding(GaussianIsotropicKernel(1e-77), [-8.0], [8.0], 64)
+        taylor = TaylorApproximation.build(emb, 0.0, 2)
+        thetas = np.zeros(500)
+        thetas[[150, 200, 300]] = [6.0, 7.0, 8.0]
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            with pytest.raises(DomainError, match=re.escape("theta=[6.0] is not finite")):
+                taylor.errors(thetas)
 
     def test_error_grows_with_distance(self, emb1):
         taylor = TaylorApproximation.build(emb1, 0.0, 2)
