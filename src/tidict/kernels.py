@@ -307,8 +307,6 @@ class GaussianIsotropicKernel:
         vals = _gaussian(np.sum(deltas * deltas, axis=1), 4.0 * self.sigma**2)
         return float(vals[0]) if single else vals
 
-    __call__ = eval
-
     def axis_factor(self, x, y, out: np.ndarray | None = None) -> np.ndarray:
         """One axis's factor ``exp(-(x_i - y_j)^2 / (4 sigma^2))``, shape ``x.shape + y.shape``.
 

@@ -146,8 +146,6 @@ class RaisedCosineKernel:
         vals = self.lambda0 + np.cos(deltas @ self.freqs.T) @ self.weights
         return float(vals[0]) if single else vals
 
-    __call__ = eval
-
     def cross(self, x, y, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
         """Kernel matrix ``rc(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
 

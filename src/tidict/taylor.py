@@ -24,7 +24,9 @@ order-0 terms, ``m_0 = H_00 = 1`` and ``d_0 = kappa(delta)``, are folded into
 ``2 (1 - kappa(delta))``, taken by ``expm1``, and the products run with
 ``m_0`` zeroed, over ``H`` and ``d - H[0]``.  No term of size 1 is
 subtracted, so the error's rounding floor near the center scales with
-``|delta|``.
+``|delta|``.  A block of ``B`` points keeps its per-axis tables, Hermite
+terms and then powers, as ``(order + 1, dim, B)``: one contiguous row per
+order and axis, as the recurrences write them.
 """
 
 from __future__ import annotations
@@ -54,17 +56,39 @@ def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
 
 
 def _hermite(x, max_order: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Physicists' Hermite polynomials ``H_0 .. H_max_order`` at ``x``.
+    """Physicists' Hermite polynomials ``H_0 .. H_max_order`` at ``x``, row ``n`` holding ``H_n``.
 
-    Built with the recurrence ``H_{n+1} = 2x H_n - 2n H_{n-1}``; the result,
-    written into ``out`` when given, has shape ``x.shape + (max_order + 1,)``.
+    ``H_{n+1} = 2x H_n - 2n H_{n-1}`` writes each row from the two before
+    it into ``out``, when given, of shape ``(max_order + 1,) + x.shape``.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (max_order + 1,)) if out is None else out
-    h_prev, h = np.zeros_like(x), np.ones_like(x)
-    for n in range(max_order + 1):
-        out[..., n] = h
-        h_prev, h = h, 2.0 * x * h - 2.0 * n * h_prev
+    out = np.empty((max_order + 1,) + x.shape) if out is None else out
+    two_x = 2.0 * x
+    out[0] = 1.0
+    out[1:2] = two_x  # H_1, when max_order >= 1
+    for n in range(1, max_order):
+        np.multiply(two_x, out[n], out=out[n + 1, ...])
+        out[n + 1] -= 2.0 * n * out[n - 1]
+    return out
+
+
+def _products(tables: np.ndarray, alphas: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``prod_a tables[alpha_a, a]`` per row of the ``(L, dim)`` ``alphas``, into the ``(B, L)`` ``out``.
+
+    Each axis's rows of the ``(order + 1, dim, B)`` ``tables`` are gathered
+    by its indices and multiplied in axis order in ``scratch``, an array
+    like ``out`` taken as ``(L, B)``, then written into ``out`` once,
+    transposed.  On one axis the indices are ``0 .. order`` in turn, so
+    ``out`` is the table transposed.
+    """
+    prod = tables[:, 0]
+    if alphas.shape[1] > 1:
+        # out's memory takes each gathered axis until the product is written
+        prod, gathered = scratch.reshape(out.shape[::-1]), out.reshape(out.shape[::-1])
+        np.take(tables[:, 0], alphas[:, 0], axis=0, out=prod, mode="clip")
+        for a in range(1, alphas.shape[1]):
+            prod *= np.take(tables[:, a], alphas[:, a], axis=0, out=gathered, mode="clip")
+    out[...] = prod.T
     return out
 
 
@@ -134,79 +158,57 @@ class TaylorApproximation:
     def dim(self) -> int:
         return self.embedding.dim
 
-    def _products(self, tables: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        """``prod_a tables[:, a, alpha_a]`` for every multi-index, into the ``(n, L)`` array ``out``.
-
-        ``tables`` has shape ``(n, dim, order + 1)``: per point and axis,
-        one entry per derivative order.  The axes are multiplied one at a
-        time, in axis order; from the second axis on each axis's entries
-        are gathered into ``scratch``, an array like ``out``, or into a new
-        array when it is None.
-        """
-        idx = np.array(self.alphas)
-        np.take(tables[:, 0], idx[:, 0], axis=1, out=out, mode="clip")
-        for a in range(1, self.dim):
-            out *= np.take(tables[:, a], idx[:, a], axis=1, out=scratch, mode="clip")
-        return out
-
     def _powers(self, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per point, axis and order ``n``, ``delta^n / n!`` into ``out``, shape ``(n, dim, order + 1)``.
+        """Per order ``n``, axis and point, ``delta^n / n!`` into ``out``, shape ``(order + 1, dim, B)``.
 
-        It is the running product of ``delta / j`` for ``j = 1 .. n``.
+        Row ``n`` is row ``n - 1`` times ``delta / n``.
         """
-        delta = pts - self.center
-        out[:, :, 0] = 1.0
+        delta = (pts - self.center).T
+        out[0] = 1.0
         for n in range(1, self.order + 1):
-            np.multiply(out[:, :, n - 1], delta / n, out=out[:, :, n])
+            np.multiply(out[n - 1], delta / n, out=out[n])
         return out
-
-    def monomials(self, theta) -> np.ndarray:
-        """Taylor monomials ``(theta - center)^alpha / alpha!`` for every index."""
-        pts, single = as_param_array(theta, self.dim)
-        powers = self._powers(pts, np.empty(pts.shape + (self.order + 1,)))
-        out = self._products(powers, np.empty((pts.shape[0], self.rank)))
-        return out[0] if single else out
 
     def errors(self, thetas: np.ndarray) -> np.ndarray:
         """Distance between the atom at each point and its Taylor surrogate.
 
         Points are taken in the padded blocks of :func:`tidict.kernels.blocks`
         by :func:`tidict.kernels.sweep`, as in
-        :meth:`~tidict.lowrank.LowRankDictionary.approx_error`: each worker
-        writes a block's per-axis tables into a ``(B, dim, order + 1)``
-        array and its monomials, derivatives and ``m H`` into ``(B, L)``
-        arrays of its own workspace, which the calling thread allocates
-        once per call; nothing else of size ``B L`` is allocated.  ``m^T H
-        m`` is one matrix product per block; whether a point's bits depend
-        on its block is up to the BLAS (see :func:`tidict.kernels.pad_rows`),
-        and they do not depend on the number of workers.  The errors are
-        those of the continuous atoms, so a point near or beyond the
-        embedding's window is evaluated like any other.  Raises
-        :class:`DomainError` when an error is not finite, naming the first
-        such point.
+        :meth:`~tidict.lowrank.LowRankDictionary.approx_error`.  Each worker
+        writes a block's Hermite terms and then its powers into one
+        ``(order + 1, dim, B)`` table, and its monomials, derivatives and
+        ``m H`` into ``(B, L)`` arrays, all in a workspace that the calling
+        thread allocates once per call; nothing else of size ``B L`` is
+        allocated.  ``m^T H m`` is one matrix product per block; whether a
+        point's bits depend on its block is up to the BLAS (see
+        :func:`tidict.kernels.pad_rows`), and they do not depend on the
+        number of workers.  The errors are those of the continuous atoms, so
+        a point near or beyond the embedding's window is evaluated like any
+        other.  Raises :class:`DomainError` when an error is not finite,
+        naming the first such point.
         """
         pts, _ = as_param_array(thetas, self.dim)
         two_sigma = 2.0 * self.embedding.kernel.sigma
-        scale = two_sigma ** -np.arange(self.order + 1, dtype=float)
+        scale = two_sigma ** -np.arange(self.order + 1, dtype=float)[:, None, None]
+        alphas = np.array(self.alphas)
         out = np.empty(pts.shape[0])
 
         def workspace(rows):
-            # a third (B, L) array gathers the axes of a multi-axis product
-            return np.empty((rows, self.dim, self.order + 1)), np.empty((2 + (self.dim > 1), rows, self.rank))
+            return np.empty((self.order + 1, self.dim, rows)), np.empty((2 + (self.dim > 1), rows, self.rank))
 
         def body(dst, ws, rows):
             n = rows.shape[0]
-            tables, (mono, deriv, *spare) = ws[0][:n], (a[:n] for a in ws[1])
-            scratch = spare[0] if spare else None
+            # scratch, a third (B, L) array, is there on more than one axis
+            tables, (mono, deriv, *scratch) = ws[0][..., :n], (a[:n] for a in ws[1])
             with np.errstate(over="ignore", invalid="ignore"):
                 x = (rows - self.center) / two_sigma
-                # d^n_{theta0} kappa_1(delta) per axis and order, then per index
-                _hermite(x, self.order, out=tables)
+                # d^n_{theta0} kappa_1(delta) per order and axis, then per index
+                _hermite(x.T, self.order, out=tables)
                 tables *= scale
-                tables *= np.exp(-(x * x))[:, :, None]
-                self._products(tables, deriv, scratch)
+                tables *= np.exp(-(x * x)).T
+                _products(tables, alphas, deriv, *scratch)
                 deriv -= self.gram[0]
-                self._products(self._powers(rows, tables), mono, scratch)
+                _products(self._powers(rows, tables), alphas, mono, *scratch)
                 mono[:, 0] = 0.0  # index 0 enters as 2 (1 - kappa(delta)) only
                 cross = np.einsum("ij,ij->i", mono, deriv)
                 # padded, a short block sums like a longer one (see pad_rows)

@@ -103,7 +103,6 @@ class TestCoefficients:
             raise AssertionError("RaisedCosineKernel.eval called")
 
         monkeypatch.setattr(RaisedCosineKernel, "eval", fail)
-        monkeypatch.setattr(RaisedCosineKernel, "__call__", fail)
         ld = LowRankDictionary(gauss2, gram, rc)
         pts = rng.uniform(0.0, 2.0, size=(40, 2))
         assert ld.coefficients(pts).shape == (40, 6)

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ def emb1(gauss1):
 @pytest.fixture(scope="module")
 def emb2(gauss2):
     return DiscreteEmbedding(gauss2, [-7.0, -7.0], [7.0, 7.0], 160)
+
+
+@pytest.fixture(scope="module")
+def taylor3():
+    # order 3 on three axes, L = 20: the products gather and multiply three axes
+    emb = DiscreteEmbedding(GaussianIsotropicKernel(1.0, 3), [-6.0] * 3, [6.0] * 3, 40)
+    return TaylorApproximation.build(emb, [0.2, -0.1, 0.3], 3)
 
 
 class TestMultiIndices:
@@ -113,10 +121,10 @@ class TestBuild:
         # up to n = 38
         x = np.linspace(-6.0, 6.0, 97)
         values = _hermite(x, 38)
-        assert values.shape == (97, 39)
+        assert values.shape == (39, 97)
         for n in range(39):
             ref = eval_hermite(n, x)
-            assert np.max(np.abs(values[:, n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+            assert np.max(np.abs(values[n] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
             assert _hermite(0.0, 38)[n] == pytest.approx(eval_hermite(n, 0.0), rel=1e-14)
 
     def test_a_center_outside_the_window_builds_the_same_gram(self, emb1, gauss1):
@@ -152,11 +160,6 @@ class TestApproximation:
         taylor = TaylorApproximation.build(emb2, center, 2)
         assert taylor_error(taylor, center) < 1e-8
 
-    def test_monomials_at_center(self, emb2):
-        taylor = TaylorApproximation.build(emb2, [0.0, 0.0], 2)
-        mono = taylor.monomials([0.0, 0.0])
-        assert mono[0] == 1.0 and np.all(mono[1:] == 0.0)
-
     def test_third_order_error_growth(self, emb1):
         # a second-order expansion has cubic local error
         taylor = TaylorApproximation.build(emb1, 0.0, 2)
@@ -182,7 +185,7 @@ class TestApproximation:
         single = np.array([taylor_error(taylor, t) for t in thetas])
         assert np.max(np.abs(batch - single)) < 1e-14
 
-    def test_errors_do_not_depend_on_the_block(self, emb2, gauss1, monkeypatch):
+    def test_errors_do_not_depend_on_the_block(self, emb2, gauss1, taylor3, monkeypatch):
         emb1 = DiscreteEmbedding(gauss1, [-6.5], [16.0], 256)
         cases = (
             (TaylorApproximation.build(emb1, 4.75, 19), np.linspace(0.0, 9.5, 23)),
@@ -190,6 +193,7 @@ class TestApproximation:
                 TaylorApproximation.build(emb2, [0.0, 0.0], 2),
                 np.random.default_rng(5).uniform(-0.5, 0.5, size=(23, 2)),
             ),
+            (taylor3, np.random.default_rng(7).uniform(-0.6, 0.6, size=(23, 3))),
         )
         for taylor, thetas in cases:
             want = taylor.errors(thetas)
@@ -198,8 +202,8 @@ class TestApproximation:
                 assert np.array_equal(taylor.errors(thetas), want)
             monkeypatch.undo()
 
-    def test_errors_do_not_depend_on_the_worker_count(self, emb2, gauss1, monkeypatch):
-        # 2,000 points in blocks of 97 on 1, 2 and 8 workers, in 1-D and 2-D
+    def test_errors_do_not_depend_on_the_worker_count(self, emb2, gauss1, taylor3, monkeypatch):
+        # 2,000 points in blocks of 97 on 1, 2 and 8 workers, in 1-D, 2-D and 3-D
         emb1 = DiscreteEmbedding(gauss1, [-6.5], [16.0], 256)
         cases = (
             (TaylorApproximation.build(emb1, 4.75, 19), np.linspace(0.0, 9.5, 2_000)),
@@ -207,6 +211,7 @@ class TestApproximation:
                 TaylorApproximation.build(emb2, [0.0, 0.0], 2),
                 np.random.default_rng(6).uniform(-0.5, 0.5, size=(2_000, 2)),
             ),
+            (taylor3, np.random.default_rng(8).uniform(-0.6, 0.6, size=(2_000, 3))),
         )
         monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
         for taylor, thetas in cases:
@@ -245,6 +250,26 @@ class TestApproximation:
         thetas = np.vstack([center, rng.uniform([0.0, 0.0], [1.0, 2.0], size=(60, 2))])
         ref = sampled_taylor_errors(emb2, center, 2, thetas)
         assert np.max(np.abs(taylor.errors(thetas) - ref)) < 1e-9
+
+    def test_matches_sampled_errors_3d(self, taylor3, rng):
+        emb, center = taylor3.embedding, taylor3.center
+        thetas = np.vstack([center, rng.uniform(-0.6, 0.6, size=(30, 3))])
+        ref = sampled_taylor_errors(emb, center, 3, thetas)
+        assert np.max(np.abs(taylor3.errors(thetas) - ref)) < 1e-9
+
+    def test_workspace_holds_the_tables_and_the_products(self, gauss1, monkeypatch):
+        # cond-1d's order-19 expansion, one block of 4,096 rows on one worker:
+        # a (20, 1, B) table and two (B, 20) arrays, 2.0 MB
+        taylor = TaylorApproximation.build(DiscreteEmbedding(gauss1, [-6.5], [16.0], 256), 4.75, 19)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pts = np.linspace(0.0, 9.5, 4096)
+        tracemalloc.start()
+        try:
+            err = taylor.errors(pts)
+            peak = tracemalloc.get_traced_memory()[1] - err.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < (20 * 4096 + 2 * 4096 * 20) * 8 + 2**18
 
     def test_matches_sampled_errors_1d_order_19(self, gauss1):
         # the order-0 term enters as 2 (1 - kappa(delta)) by expm1, but the
