@@ -93,7 +93,7 @@ def _build_dictionary(
     """
     tol = cfg.tolerances
     gram = build_gram(cfg.kernel, cfg.grid, condition_limit=tol.condition_limit)
-    return LowRankDictionary(cfg.kernel, gram, rc, residual_tol=tol.residual, check=check)
+    return LowRankDictionary(gram, rc, residual_tol=tol.residual, check=check)
 
 
 def cmd_decompose(cfg: ExperimentConfig, out: Path, args) -> int:

@@ -22,8 +22,10 @@ zero; whether the kernel is acceptable, its structure and its residual on
 the node differences, the :class:`~tidict.lowrank.LowRankDictionary`
 constructor decides.
 
-Nodes are a :class:`NodeGrid`, the one record of their layout, which the
-:class:`GramSystem` keeps.  They are handled separably: each axis is
+Nodes are a :class:`NodeGrid`, the one record of their layout.  A
+:class:`GramSystem` is given the kernel and the grid, evaluates its axis
+factors from them and keeps both, so a dictionary reads the kernel from
+its Gram system.  Nodes are handled separably: each axis is
 decomposed on its own, then the product of the axis kernels is expanded
 into a flat cosine sum, the Kronecker product of the axis spectra; a 1-D
 grid is the one-axis case.  The resulting term count again satisfies
@@ -122,32 +124,37 @@ class NodeGrid:
 
 
 class GramSystem:
-    """A positive definite node Gram matrix, the Kronecker product of its axis factors.
+    """The positive definite node Gram matrix of ``kernel`` on ``grid``.
 
-    Wraps ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of ``grid``,
-    the :class:`NodeGrid` it was built on, as ``factors``, one symmetric
-    ``G_a`` per axis.  ``G_a = V_a diag(lam_a) V_a^T`` is computed once, at
-    construction, and ``G = V diag(lam) V^T`` with ``V = kron(V_a)`` and
-    ``lam = kron(lam_a)``.  It gives the 2-norm condition number
-    ``lam_max / lam_min``, the product of :attr:`axis_condition_numbers`
-    (``inf`` when ``G`` is not positive definite), and every linear solve.
-    A solve applies ``G^-1 = V diag(1 / lam) V^T`` and then one step of
-    iterative refinement, ``x = x0 + G^-1 (b - G x0)``, which keeps it as
-    accurate as an LU solve.  Instances are built by :func:`build_gram`.
+    ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of the
+    :class:`NodeGrid` ``grid`` is the Kronecker product of ``factors``, one
+    Toeplitz matrix ``G_a[i, j] = row_a[|i - j|]`` per axis, of the axis's
+    Gram first row: the structure is exact, and in 1-D ``G`` is the kernel
+    at every node displacement bit for bit.  ``G_a = V_a diag(lam_a) V_a^T``
+    is computed once, at construction, and ``G = V diag(lam) V^T`` with
+    ``V = kron(V_a)`` and ``lam = kron(lam_a)``.  It gives the 2-norm
+    condition number ``lam_max / lam_min``, the product of
+    :attr:`axis_condition_numbers` (``inf`` when ``G`` is not positive
+    definite), and every linear solve.  A solve applies
+    ``G^-1 = V diag(1 / lam) V^T`` and then one step of iterative
+    refinement, ``x = x0 + G^-1 (b - G x0)``, which keeps it as accurate as
+    an LU solve.  Nodes that are not a :class:`NodeGrid` raise
+    :class:`TypeError`; a condition number beyond ``condition_limit``
+    raises :class:`IllConditionedError`.
     """
 
     def __init__(
         self,
-        factors: Sequence[np.ndarray],
+        kernel: GaussianIsotropicKernel,
         grid: NodeGrid,
         condition_limit: float = CONDITION_LIMIT,
     ):
-        factors = [np.asarray(f, dtype=float) for f in factors]
-        if [f.shape for f in factors] != [(c, c) for c in grid.counts]:
-            raise DomainError("Gram factors must be square, one per axis, sized by its node count")
+        if not isinstance(grid, NodeGrid):
+            raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
+        idx = [np.arange(c) for c in grid.counts]
+        factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
+        self.kernel = kernel
         self.grid = grid
-        if not all(np.all(np.isfinite(f)) for f in factors):
-            raise IllConditionedError("Gram matrix has non-finite entries")
         axis_eigvals, axis_eigvecs = zip(*(np.linalg.eigh(f) for f in factors))
         self.axis_condition_numbers = tuple(
             float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf for lam in axis_eigvals
@@ -204,20 +211,8 @@ def build_gram(
     grid: NodeGrid,
     condition_limit: float = CONDITION_LIMIT,
 ) -> GramSystem:
-    """The Gram system of the atoms at the nodes of ``grid``.
-
-    Each axis factor is the Toeplitz matrix ``G_a[i, j] = row_a[|i - j|]``
-    of the axis's Gram first row, so the Kronecker-of-Toeplitz structure of
-    ``G`` is exact, and in 1-D ``G`` is the kernel at every node
-    displacement bit for bit.  Nodes that are not a :class:`NodeGrid` raise
-    :class:`TypeError`; a condition number beyond ``condition_limit``
-    raises :class:`IllConditionedError`.
-    """
-    if not isinstance(grid, NodeGrid):
-        raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
-    idx = [np.arange(c) for c in grid.counts]
-    factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
-    return GramSystem(factors, grid, condition_limit)
+    """``GramSystem(kernel, grid, condition_limit)``: the name the command line builds through, which ``perfbench`` times."""
+    return GramSystem(kernel, grid, condition_limit)
 
 
 def _cheb_annihilator(y: np.ndarray, degree: int) -> np.ndarray:
@@ -407,7 +402,8 @@ def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> float:
     ``delta = m * spacing``, and both are even, so the differences with
     ``m_0 >= 0`` reach every node pair.  ``kappa`` there is the product of
     the axis Gram rows, which gives the bits of ``gram.matrix``'s entries;
-    ``rc`` is evaluated in the blocks of :func:`tidict.kernels.blocks`.
+    ``rc`` there is its cosine sum alone, :meth:`RaisedCosineKernel.values`,
+    taken in the blocks of :func:`tidict.kernels.blocks`.
     """
     grid = gram.grid
     steps = [np.arange(0 if a == 0 else 1 - c, c) for a, c in enumerate(grid.counts)]
@@ -415,5 +411,5 @@ def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> float:
     kappa = reduce(np.multiply.outer, [f[0, np.abs(m)] for f, m in zip(gram.factors, steps)]).ravel()
     worst = np.empty_like(kappa)
     for dst, rows, k in blocks(worst, deltas, kappa):
-        dst[:] = np.abs(rc.cross(rows, np.zeros((1, grid.dim)))[:, 0] - k)[: len(dst)]
+        dst[:] = np.abs(rc.values(rows) - k)[: len(dst)]
     return float(np.max(worst))

@@ -12,10 +12,11 @@ approximated atoms are raised-cosine evaluations again, so the
 approximation quality and all downstream computations need kernel values
 only, never explicit atom vectors.  The exact-rank property follows from
 the feature-map factorization of ``rc``.  Every dictionary is built as
-``LowRankDictionary(kernel, build_gram(kernel, grid))``, whose constructor
-decomposes the grid and is the one place that decides whether the kernel
-is acceptable: its ``structure``, :meth:`RaisedCosineKernel.validate`, and
-its ``residual`` on the node differences.
+``LowRankDictionary(GramSystem(kernel, grid))``, which reads the kernel
+from its Gram system, decomposes the grid and is the one place that decides
+whether the kernel is acceptable: its ``structure``,
+:meth:`RaisedCosineKernel.validate`, and its ``residual`` on the node
+differences.
 
 With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  Both cross terms are taken
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, NoValidDecomposition
 from .gram import RESIDUAL_TOL, GramSystem, NodeGrid, decompose_grid, verify_decomposition
-from .kernels import GaussianIsotropicKernel, ParamBox, as_param_array, blocks, pad_rows, sweep
+from .kernels import ParamBox, as_param_array, blocks, pad_rows, sweep
 from .raised_cosine import RaisedCosineKernel
 
 __all__ = ["LowRankDictionary", "SelectAtomSettings"]
@@ -75,11 +76,10 @@ class LowRankDictionary:
 
     Parameters
     ----------
-    kernel : GaussianIsotropicKernel
-        Exact kernel of the continuous family.
     gram : GramSystem
-        Node Gram matrix (factorized) of the family, from
-        :func:`~tidict.gram.build_gram`; its grid holds the nodes.
+        Node Gram matrix (factorized) of the family; its ``kernel`` is the
+        exact kernel of the continuous family, :attr:`kernel`, and its
+        ``grid`` holds the nodes.  Anything else raises :class:`TypeError`.
     rc : RaisedCosineKernel, optional
         Raised-cosine kernel matching ``gram`` on all node differences;
         by default :func:`~tidict.gram.decompose_grid` of the grid.
@@ -96,12 +96,14 @@ class LowRankDictionary:
 
     def __init__(
         self,
-        kernel: GaussianIsotropicKernel,
         gram: GramSystem,
         rc: RaisedCosineKernel | None = None,
         residual_tol: float = RESIDUAL_TOL,
         check: bool = True,
     ):
+        if not isinstance(gram, GramSystem):
+            raise TypeError(f"gram must be a GramSystem, got {type(gram).__name__}")
+        kernel = gram.kernel
         if rc is None:
             rc = decompose_grid(kernel, gram.grid)
         if rc.dim != kernel.dim:

@@ -143,8 +143,12 @@ class RaisedCosineKernel:
     def eval(self, delta):
         """Kernel value at one displacement or a stack of displacements."""
         deltas, single = as_param_array(delta, self.dim, name="delta")
-        vals = self.lambda0 + np.cos(deltas @ self.freqs.T) @ self.weights
+        vals = self.values(deltas)
         return float(vals[0]) if single else vals
+
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        """:meth:`eval` at the rows of an ``(n, dim)`` float array, unchecked: one cosine per term and row."""
+        return self.lambda0 + np.cos(deltas @ self.freqs.T) @ self.weights
 
     def cross(self, x, y, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
         """Kernel matrix ``rc(x_i - y_j)`` between two point stacks, shape ``(n, m)``.
@@ -254,14 +258,13 @@ class RaisedCosineKernel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, dim: int | None = None) -> "RaisedCosineKernel":
-        """Inverse of :meth:`to_dict`.
+    def from_dict(cls, data: dict, dim: int) -> "RaisedCosineKernel":
+        """Inverse of :meth:`to_dict`, for a kernel of dimension ``dim``.
 
-        ``dim`` may be omitted whenever at least one cosine term is present,
-        in which case it is inferred from the first frequency vector.
         ``lambda0``, every ``lambda`` and every entry of each ``w`` list must
         be numbers, and ``rank`` a whole number; a boolean, a string or a
-        fraction raises :class:`DomainError`.
+        fraction raises :class:`DomainError`, as does a ``w`` list whose
+        length is not ``dim``.
         """
         try:
             lambda0 = _number(data["lambda0"])
@@ -273,17 +276,13 @@ class RaisedCosineKernel:
             freqs = np.array([_numbers(t["w"]) for t in terms])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed raised-cosine kernel data: {exc!r}") from exc
-        if dim is None:
-            if freqs.size == 0:
-                raise DomainError("dim is required for a kernel with no cosine terms")
-            dim = freqs.shape[1]
         return cls(dim=dim, lambda0=lambda0, weights=weights, freqs=freqs, rank=rank)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
-    def from_json(cls, path, dim: int | None = None) -> "RaisedCosineKernel":
+    def from_json(cls, path, dim: int) -> "RaisedCosineKernel":
         """Load a kernel written by :meth:`to_json`; a file that cannot be
         read, is not UTF-8 JSON, holds a non-finite number or is malformed
         raises :class:`DomainError`."""

@@ -31,12 +31,12 @@ def grid23():
 
 @pytest.fixture(scope="session")
 def ld6(gauss1, grid6):
-    return LowRankDictionary(gauss1, build_gram(gauss1, grid6))
+    return LowRankDictionary(build_gram(gauss1, grid6))
 
 
 @pytest.fixture(scope="session")
 def ld23(gauss2, grid23):
-    return LowRankDictionary(gauss2, build_gram(gauss2, grid23))
+    return LowRankDictionary(build_gram(gauss2, grid23))
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ def make_dictionary(dim, spacing, counts):
     grid = NodeGrid(
         origin=np.zeros(dim), spacing=np.full(dim, spacing), counts=tuple(counts)
     )
-    return LowRankDictionary(kernel, build_gram(kernel, grid))
+    return LowRankDictionary(build_gram(kernel, grid))
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ from tidict.gram import PSD_TOL, RESIDUAL_TOL
 
 def _quality(kernel, grid, rc, **gram_options):
     """``(residual, psd_margin)`` of ``rc`` on the Gram system of ``grid``."""
-    ld = LowRankDictionary(kernel, build_gram(kernel, grid, **gram_options), rc, check=False)
+    ld = LowRankDictionary(build_gram(kernel, grid, **gram_options), rc, check=False)
     return ld.residual, ld.psd_margin
 
 
@@ -133,13 +133,6 @@ class TestBuildGram:
         with pytest.raises(DomainError):
             build_gram(gauss2, NodeGrid([0.0], [1.0], [4]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_matrix_is_ill_conditioned(self, bad):
-        matrix = np.eye(3)
-        matrix[0, 1] = matrix[1, 0] = bad
-        with pytest.raises(IllConditionedError, match="non-finite"):
-            GramSystem([matrix], NodeGrid([0.0], [1.0], [3]))
-
 
 # (dim, spacing, counts) of the README 2-D grid, the 1-D spacing-0.5 L=20
 # grid near the condition limit, and the 3-D 6x6x6 grid
@@ -193,11 +186,14 @@ class TestGramSystem:
         assert number == pytest.approx(axis**2, rel=1e-3)
 
     @pytest.mark.parametrize("limit", [1e12, np.inf])
-    def test_not_positive_definite_is_ill_conditioned(self, limit):
-        matrix = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
-        assert np.linalg.eigvalsh(matrix)[0] < 0.0
+    def test_not_positive_definite_is_ill_conditioned(self, gauss1, limit):
+        # 15 nodes at spacing 0.25: the eigh of the Gram factor reads lam_min < 0
+        grid = NodeGrid([0.0], [0.25], [15])
+        idx = np.arange(15)
+        delta = (idx[:, None] - idx).reshape(-1, 1) * 0.25
+        assert np.linalg.eigvalsh(gauss1.eval(delta).reshape(15, 15))[0] < 0.0
         with pytest.raises(IllConditionedError, match="condition number inf exceeds limit"):
-            GramSystem([matrix], NodeGrid([0.0], [1.0], [3]), condition_limit=limit)
+            GramSystem(gauss1, grid, condition_limit=limit)
 
 
 def _sweep_grids():
@@ -226,7 +222,7 @@ def test_conditioning_sweep_keeps_the_lu_node_floors():
         matrix = kernel.eval(delta.reshape(-1, dim)).reshape(grid.size, grid.size)
         under_limit = np.linalg.cond(matrix) <= 1e12
         try:
-            ld = LowRankDictionary(kernel, build_gram(kernel, grid, condition_limit=1e12))
+            ld = LowRankDictionary(build_gram(kernel, grid, condition_limit=1e12))
         except IllConditionedError:
             assert not under_limit, (dim, spacing, counts)
             continue
@@ -361,7 +357,7 @@ class TestDecompose1D:
         assert any("nonpositive weights" in issue for issue in rc.validate().issues)
         gram = build_gram(gauss1, NodeGrid([0.0], [1.0], [4]))
         with pytest.raises(NoValidDecomposition, match="nonpositive weights"):
-            LowRankDictionary(gauss1, gram, rc=rc)
+            LowRankDictionary(gram, rc=rc)
 
     def test_rejects_complex_spectral_roots(self):
         # built from a complex frequency pair, so the annihilator's roots
@@ -500,15 +496,26 @@ class TestDecomposeSeparable:
         assert any("coincide up to sign" in issue for issue in rc.validate().issues)
         gram = build_gram(gauss1, NodeGrid([0.0], [1.0], [4]))
         with pytest.raises(NoValidDecomposition, match="coincide up to sign"):
-            LowRankDictionary(gauss1, gram, rc=rc)
+            LowRankDictionary(gram, rc=rc)
 
 
 class TestVerify:
+    def test_residual_takes_no_cross_kernel(self, gauss2, grid23, monkeypatch):
+        # the residual needs rc at each node difference, not a kernel matrix
+        gram = build_gram(gauss2, grid23)
+        rc = decompose_grid(gauss2, grid23)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("RaisedCosineKernel.cross called")
+
+        monkeypatch.setattr(RaisedCosineKernel, "cross", fail)
+        assert verify_decomposition(gram, rc) < 1e-12
+
     def test_good_decomposition_passes(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
         rc = decompose_grid(gauss1, grid6)
         assert verify_decomposition(gram, rc) < 1e-12
-        assert LowRankDictionary(gauss1, gram, rc).psd_margin > -1e-10
+        assert LowRankDictionary(gram, rc).psd_margin > -1e-10
 
     def test_perturbed_kernel_fails(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)

@@ -37,7 +37,7 @@ def _gaussian_dictionary(dim, counts):
     """
     spacing = 1.0 if counts == (6, 6, 6) else 0.5
     kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
-    return LowRankDictionary(kernel, build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts)))
+    return LowRankDictionary(build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts)))
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,12 @@ class TestConstruction:
         assert ld6.residual < 1e-12
         assert ld6.psd_margin > -1e-10
 
+    def test_the_kernel_is_the_gram_systems(self, ld6, ld23, gauss1, grid6):
+        assert ld6.kernel is ld6.gram.kernel and ld23.kernel is ld23.gram.kernel
+        # the old (kernel, gram) form fails at the call, naming what it got
+        with pytest.raises(TypeError, match="GaussianIsotropicKernel"):
+            LowRankDictionary(gauss1, build_gram(gauss1, grid6))
+
     def test_mismatched_kernel_rejected(self, gauss1, grid6):
         gram = build_gram(gauss1, grid6)
         rc = decompose_grid(gauss1, grid6)
@@ -69,9 +75,9 @@ class TestConstruction:
             rank=rc.rank,
         )
         with pytest.raises(NoValidDecomposition):
-            LowRankDictionary(gauss1, gram, wrong)
+            LowRankDictionary(gram, wrong)
         # the escape hatch still records the failed verification
-        ld = LowRankDictionary(gauss1, gram, wrong, check=False)
+        ld = LowRankDictionary(gram, wrong, check=False)
         assert ld.residual > 1e-3
 
     def test_rank_must_match_nodes(self, gauss1, grid6):
@@ -80,7 +86,7 @@ class TestConstruction:
             dim=1, lambda0=0.0, weights=[1.0], freqs=[[0.7]], rank=2
         )
         with pytest.raises(DomainError):
-            LowRankDictionary(gauss1, gram, rc)
+            LowRankDictionary(gram, rc)
 
 
 class TestCoefficients:
@@ -103,7 +109,7 @@ class TestCoefficients:
             raise AssertionError("RaisedCosineKernel.eval called")
 
         monkeypatch.setattr(RaisedCosineKernel, "eval", fail)
-        ld = LowRankDictionary(gauss2, gram, rc)
+        ld = LowRankDictionary(gram, rc)
         pts = rng.uniform(0.0, 2.0, size=(40, 2))
         assert ld.coefficients(pts).shape == (40, 6)
         assert np.all(ld.approx_error(pts) >= 0.0)
@@ -180,7 +186,7 @@ class TestTranslation:
                 dim = len(counts)
                 kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
                 ld0, ld = (
-                    LowRankDictionary(kernel, build_gram(kernel, NodeGrid([o] * dim, [spacing] * dim, counts)))
+                    LowRankDictionary(build_gram(kernel, NodeGrid([o] * dim, [spacing] * dim, counts)))
                     for o in (0.0, origin)
                 )
                 # test 02's box, the nodes padded by one spacing, on multiples of 2^-16
@@ -278,7 +284,7 @@ class TestApproxError:
             1, rc.lambda0, np.concatenate([rc.weights, [1e-3] * 5]),
             np.concatenate([rc.freqs, [[0.1], [0.2], [0.3], [0.4], [0.5]]]), rc.rank,
         )
-        wide = LowRankDictionary(ld.kernel, ld.gram, extra, check=False)
+        wide = LowRankDictionary(ld.gram, extra, check=False)
         assert wide.rc.num_terms == 8 > wide.rank
         monkeypatch.setattr(tidict.kernels, "_CHUNK", 97)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -342,7 +348,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
 
     def test_sweeps_run_in_bounded_memory(self, gauss1):
-        ld = LowRankDictionary(gauss1, build_gram(gauss1, NodeGrid([0.0], [1.0], [20])))
+        ld = LowRankDictionary(build_gram(gauss1, NodeGrid([0.0], [1.0], [20])))
         emb = DiscreteEmbedding(gauss1, [-7.0], [26.0], 256)
         taylor = TaylorApproximation.build(emb, 9.5, 19)
         pts = np.linspace(0.0, 19.0, self.N)
@@ -445,7 +451,7 @@ class TestSelectAtom:
 
     def test_constant_surrogate_returns_lower_corner(self, gauss1):
         grid = NodeGrid([0.0], [1.0], [1])
-        ld = LowRankDictionary(gauss1, build_gram(gauss1, grid))
+        ld = LowRankDictionary(build_gram(gauss1, grid))
         box = ParamBox([-1.0], [1.0])
         theta, value = ld.select_atom(np.array([2.0]), box)
         assert theta[0] == -1.0
