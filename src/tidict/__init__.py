@@ -8,48 +8,27 @@ and exposes closed-form approximation errors and inner products that never
 require materializing atom vectors.  A fixed-center Taylor expansion of
 the atom map is included as the classical baseline, and a CLI drives
 reproducible experiments from JSON configuration files.
+
+The public names load their submodule on first use, so ``import tidict``
+loads no numpy, and :mod:`tidict.cli` can limit BLAS to one thread first.
 """
 
-from .config import ExperimentConfig, SelectAtomConfig, Tolerances, load_config
-from .errors import (
-    ConfigError,
-    DomainError,
-    IllConditionedError,
-    NoValidDecomposition,
-    TidictError,
-    TruncationError,
-)
-from .gram import (
-    GramSystem,
-    NodeGrid,
-    build_gram,
-    decompose_gram_1d,
-    decompose_grid,
-    decompose_gram_separable,
-    verify_decomposition,
-)
-from .kernels import (
-    DiscreteEmbedding,
-    GaussianIsotropicKernel,
-    ParamBox,
-)
-from .lowrank import LowRankDictionary, SelectAtomSettings
-from .raised_cosine import RaisedCosineKernel, ValidationReport
-from .taylor import TaylorApproximation, multi_indices
+import importlib
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExperimentConfig",
-    "SelectAtomConfig",
-    "Tolerances",
-    "load_config",
     "ConfigError",
     "DomainError",
     "IllConditionedError",
     "NoValidDecomposition",
     "TidictError",
     "TruncationError",
+    "DiscreteEmbedding",
+    "GaussianIsotropicKernel",
+    "ParamBox",
+    "RaisedCosineKernel",
+    "ValidationReport",
     "GramSystem",
     "NodeGrid",
     "build_gram",
@@ -57,14 +36,25 @@ __all__ = [
     "decompose_grid",
     "decompose_gram_separable",
     "verify_decomposition",
-    "DiscreteEmbedding",
-    "GaussianIsotropicKernel",
-    "ParamBox",
     "LowRankDictionary",
     "SelectAtomSettings",
-    "RaisedCosineKernel",
-    "ValidationReport",
     "TaylorApproximation",
     "multi_indices",
+    "ExperimentConfig",
+    "SelectAtomConfig",
+    "Tolerances",
+    "load_config",
     "__version__",
 ]
+
+# in import order, so the first of them that has a public name defines it
+_SUBMODULES = ("errors", "kernels", "raised_cosine", "gram", "lowrank", "taylor", "config")
+
+
+def __getattr__(name):
+    if name in __all__:
+        for sub in _SUBMODULES:
+            module = importlib.import_module(f"{__name__}.{sub}")
+            if hasattr(module, name):
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

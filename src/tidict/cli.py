@@ -14,6 +14,9 @@ Exit codes: 0 on success, 1 on configuration or usage errors, 2 when no
 valid raised-cosine decomposition exists (including ill-conditioned Gram
 matrices), 3 when ``validate`` finds a failing invariant.  All outputs are
 deterministic: a fixed config produces byte-identical files.
+
+The sweeps' workers (:func:`~tidict.kernels.sweep`) are a run's one layer
+of threads: BLAS gets one thread unless the environment sets its own.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# BLAS reads these when numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

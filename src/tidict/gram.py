@@ -151,6 +151,7 @@ class GramSystem:
     ):
         if not isinstance(grid, NodeGrid):
             raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
+        lattice_size(grid.counts * 2)  # the L x L matrix, and so each factor
         idx = [np.arange(c) for c in grid.counts]
         factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
         self.kernel = kernel
@@ -303,9 +304,9 @@ def decompose_gram_1d(first_row: np.ndarray, spacing: float) -> RaisedCosineKern
     x = np.clip(x, -1.0, 1.0)
     steps = np.sort(np.arccos(x))  # radians per grid step, ascending
 
-    freqs = steps / spacing
-    if freqs[0] < FREQ_DISTINCT_TOL:
+    if steps[0] < FREQ_DISTINCT_TOL:  # in radians per step, whatever the units of spacing
         raise NoValidDecomposition("a recovered frequency collapses onto zero")
+    freqs = steps / spacing
 
     m = np.arange(L)[:, None]
     design = np.cos(m * steps[None, :])

@@ -40,6 +40,8 @@ _MIN_GEMM_ROWS = 8
 _MAX_WORKERS = 2
 # first-axis rows per slab of DiscreteEmbedding.correlation_slabs, a multiple of _MIN_GEMM_ROWS
 _SLAB_ROWS = 16
+# most float64 values in one numpy array, whose size in bytes is at most intp's largest
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 __all__ = [
     "ParamBox",
@@ -189,13 +191,16 @@ def sweep(body, out: np.ndarray, *stacks: np.ndarray, workspace, then=None) -> N
                 future.result()
 
 
-def _gaussian(sq: np.ndarray, scale: float) -> np.ndarray:
-    """``exp(-sq / scale)`` in place in ``sq``, which it returns.
+def _gaussian(d: np.ndarray, scale: float, axis: int | None = None) -> np.ndarray:
+    """``exp(-d**2 / scale)`` of the displacements ``d``, their squares summed over ``axis`` if given.
 
-    The one Gaussian evaluation of this module: a tiny ``scale`` overflows
-    the quotient to ``-inf``, and ``exp`` gives 0.
+    Without ``axis`` the result is made in place in ``d``, which is
+    returned.  The one Gaussian evaluation of this module: a displacement
+    of about 1.3e154 or more overflows its square to ``inf``, a tiny
+    ``scale`` the quotient to ``-inf``, and ``exp`` gives 0.
     """
     with np.errstate(over="ignore"):
+        sq = np.multiply(d, d, out=d) if axis is None else np.sum(d * d, axis=axis)
         np.divide(sq, -scale, out=sq)
     return np.exp(sq, out=sq)
 
@@ -209,9 +214,13 @@ def int_counts(counts, name: str) -> np.ndarray:
 
 
 def lattice_size(counts) -> int:
-    """``prod(counts)``, exact; from 2**63 points on, past numpy's indices, :class:`DomainError`."""
-    if (size := math.prod(counts)) >= 2**63:
-        raise DomainError(f"a lattice of {size} points is out of range")
+    """``prod(counts)``, exact; more than a float64 array can hold, ``_MAX_FLOATS``, is a :class:`DomainError`.
+
+    Every array whose size a config count sets is checked here first, so
+    numpy's ``ValueError`` for too big an array is never reached.
+    """
+    if (size := math.prod(map(int, counts))) > _MAX_FLOATS:
+        raise DomainError(f"an array of {size} values is out of range (at most {_MAX_FLOATS})")
     return size
 
 
@@ -264,20 +273,24 @@ class ParamBox:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` uniform parameter vectors, shape ``(n, dim)``."""
+        lattice_size([n, self.dim])
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+
+    def _counts(self, points_per_axis) -> np.ndarray:
+        """``points_per_axis`` as one count per axis, each at least 1."""
+        counts = np.broadcast_to(int_counts(points_per_axis, "points_per_axis"), (self.dim,))
+        if np.any(counts < 1):
+            raise DomainError("points_per_axis must be >= 1")
+        return counts
 
     def axes(self, points_per_axis) -> list[np.ndarray]:
         """Evenly spaced coordinates on each axis, endpoints included, ascending."""
-        counts = np.broadcast_to(np.asarray(points_per_axis, dtype=int), (self.dim,))
-        if np.any(counts < 1):
-            raise DomainError("points_per_axis must be >= 1")
-        return [
-            np.linspace(self.lower[a], self.upper[a], int(counts[a]))
-            for a in range(self.dim)
-        ]
+        counts = self._counts(points_per_axis)
+        return [np.linspace(lo, hi, lattice_size([c])) for lo, hi, c in zip(self.lower, self.upper, counts)]
 
     def grid(self, points_per_axis) -> np.ndarray:
         """The :func:`lattice` of :meth:`axes`, so its rows are in lexicographic order."""
+        lattice_size([*self._counts(points_per_axis), self.dim])  # the (points, dim) array
         return lattice(self.axes(points_per_axis))
 
 
@@ -304,7 +317,7 @@ class GaussianIsotropicKernel:
     def eval(self, delta):
         """Kernel value at one displacement, or at a stack of displacements."""
         deltas, single = as_param_array(delta, self.dim, name="delta")
-        vals = _gaussian(np.sum(deltas * deltas, axis=1), 4.0 * self.sigma**2)
+        vals = _gaussian(deltas, 4.0 * self.sigma**2, axis=1)
         return float(vals[0]) if single else vals
 
     def axis_factor(self, x, y, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,9 +327,7 @@ class GaussianIsotropicKernel:
         product of this factor over the axes, and along one axis it equals
         :meth:`eval` bit for bit.  ``out`` receives the result.
         """
-        d = np.subtract.outer(x, y, out=out)
-        np.multiply(d, d, out=d)
-        return _gaussian(d, 4.0 * self.sigma**2)
+        return _gaussian(np.subtract.outer(x, y, out=out), 4.0 * self.sigma**2)
 
     def cross(self, x, axes, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix ``kappa(x_i - theta_l)`` against a grid's nodes, shape ``(n, L)``.
@@ -458,7 +469,7 @@ class DiscreteEmbedding:
                 idx = cut[start : start + rows]
                 k = k0[idx, None] + np.arange(width)
                 x = lo + k * h - t[idx, None]
-                full = _gaussian(x * x, sig * sig)  # squared profile
+                full = _gaussian(x, sig * sig)  # squared profile
                 inside = (k >= 0) & (k <= n - 1)
                 axis_ratio[idx] = np.sum(full * inside, axis=1) / np.sum(full, axis=1)
             ratio *= axis_ratio[inverse]
@@ -560,9 +571,7 @@ class DiscreteEmbedding:
 
         A profile with no mass on the lattice raises :class:`DomainError`.
         """
-        x = self.axes[a] - coords[:, None]
-        np.multiply(x, x, out=x)
-        profile = _gaussian(x, 2.0 * self.kernel.sigma**2)
+        profile = _gaussian(self.axes[a] - coords[:, None], 2.0 * self.kernel.sigma**2)
         norms = np.linalg.norm(profile, axis=1)
         if not np.all(norms > 0.0):
             raise DomainError(

@@ -208,7 +208,8 @@ class RaisedCosineKernel:
 
         Verifies the term count ``K = floor(rank / 2)``, the parity rule for
         the constant weight, strict positivity of all weights, and pairwise
-        distinctness of the frequencies up to sign.
+        distinctness of the frequencies up to sign, to ``FREQ_DISTINCT_TOL``
+        times the largest frequency component, so in any units of ``delta``.
         """
         issues = []
         k_expected = self.rank // 2
@@ -230,16 +231,19 @@ class RaisedCosineKernel:
         if np.any(self.weights <= 0.0):
             bad = self.weights[self.weights <= 0.0]
             issues.append(f"nonpositive weights {bad.tolist()}")
+        # in units of the largest component, so that no square under- or overflows
+        scale = np.max(np.abs(self.freqs), initial=0.0) or 1.0
+        freqs = self.freqs / scale
         for i in range(self.num_terms - 1):
-            rest = self.freqs[i + 1 :]
+            rest = freqs[i + 1 :]
             d = np.minimum(
-                np.linalg.norm(rest - self.freqs[i], axis=1),
-                np.linalg.norm(rest + self.freqs[i], axis=1),
+                np.linalg.norm(rest - freqs[i], axis=1),
+                np.linalg.norm(rest + freqs[i], axis=1),
             )
             for j in np.flatnonzero(d < FREQ_DISTINCT_TOL):
                 issues.append(
                     f"frequencies {i} and {i + 1 + j} coincide up to sign "
-                    f"(distance {d[j]:.3e})"
+                    f"(distance {d[j] * scale:.3e})"
                 )
         return ValidationReport(ok=not issues, issues=tuple(issues))
 

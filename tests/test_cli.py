@@ -966,6 +966,46 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "sub, section, key",
+        [
+            ("decompose", "grid", "counts"),
+            ("errormap", "evaluation", "resolution"),
+            ("select-atom", "select_atom", "oracle_per_axis"),
+            ("select-atom", "select_atom", "coarse_per_axis"),
+            ("validate", "validation", "num_pairs"),
+            ("select-atom", "embedding", "samples_per_axis"),
+        ],
+    )
+    def test_a_count_past_numpy_arrays_exits_1(self, tmp_path, capsys, sub, section, key):
+        # 2^61 float64s are more bytes than numpy's largest array: it raised
+        # ValueError, which ended in a traceback
+        payload = config_1d()
+        payload.setdefault(section, {})[key] = 2**61
+        cfg = write_config(tmp_path, payload)
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "out of range" in err
+
+    @pytest.mark.parametrize(
+        "sub, payload",
+        [
+            ("errormap", config_1d(evaluation={"lower": -1e200, "upper": 1e200, "resolution": 11})),
+            ("select-atom", config_1d(select_atom={"theta_true": 2.3, "search": {"lower": -1e200, "upper": 1e200}})),
+            ("decompose", config_1d(grid={"origin": 0.0, "spacing": 1e300, "counts": 6})),
+        ],
+        ids=["evaluation-box", "search-box", "spacing"],
+    )
+    def test_distances_whose_square_overflows_warn_nothing(self, tmp_path, capsys, sub, payload):
+        # numpy warned "overflow encountered in multiply": the Gaussian squared outside its guard
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err == "" if code == 0 else err.startswith("error: ") and len(err.splitlines()) == 1
+        assert code == 0 or sub != "errormap"
+
     def test_no_subcommand_exits_1(self):
         assert main([]) == 1
 
@@ -1126,3 +1166,49 @@ class TestRuntimeDependencies:
             check=True,
         )
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @classmethod
+    def _python(cls, script, **env):
+        """stdout of ``script`` in a fresh interpreter, the BLAS thread variables removed, ``env`` set."""
+        src = str(Path(tidict.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k not in cls.BLAS_VARS}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(base, **env), capture_output=True, text=True, check=True
+        )
+        return proc.stdout
+
+    def test_importing_the_package_loads_no_numpy(self):
+        # so that the command line can limit BLAS to one thread before numpy loads
+        script = (
+            "import sys, tidict\n"
+            "print('numpy' in sys.modules)\n"
+            "from tidict import GramSystem\n"
+            "print(GramSystem.__module__, 'numpy' in sys.modules)\n"
+        )
+        assert self._python(script).splitlines() == ["False", "tidict.gram True"]
+
+    def test_the_cli_sets_one_blas_thread_unless_the_caller_set_one(self):
+        script = f"import os, tidict.cli; print([os.environ[v] for v in {self.BLAS_VARS!r}])"
+        assert self._python(script) == "['1', '1', '1']\n"
+        assert self._python(script, OPENBLAS_NUM_THREADS="2") == "['2', '1', '1']\n"
+
+    def test_grid_3d_outputs_do_not_depend_on_the_blas_threads_of_the_environment(self, tmp_path):
+        # with OpenBLAS's default thread count on 2 CPUs, psd_margin moved in its last digits
+        cfg = write_config(tmp_path, GRID_3D)
+        outputs = []
+        for env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / str(len(outputs))
+            script = textwrap.dedent(
+                f"""
+                from tidict.cli import main
+                for sub in ("decompose", "validate"):
+                    assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0
+                """
+            )
+            self._python(script, **env)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["decompose_report.json", "kernel.json", "validate_report.json"]
+        assert outputs[0] == outputs[1]

@@ -63,9 +63,9 @@ class TestNodeGrid:
             NodeGrid(origin=[0.0, 0.0], spacing=[1.0], counts=[3])
 
     def test_lattice_past_64_bit_indices_refused(self):
-        # 2^63 - 1 is numpy's last index; np.prod wrapped 2^66 nodes to 0
-        assert NodeGrid([0.0] * 3, [1.0] * 3, [2**21 - 1] * 3).size == (2**21 - 1) ** 3
-        for count in (2**21, 2**22):
+        # 2^60 - 1 float64s fill numpy's largest array; np.prod wrapped 2^66 nodes to 0
+        assert NodeGrid([0.0] * 3, [1.0] * 3, [2**20 - 1] * 3).size == (2**20 - 1) ** 3
+        for count in (2**20, 2**22):
             with pytest.raises(DomainError, match="out of range"):
                 NodeGrid([0.0] * 3, [1.0] * 3, [count] * 3)
         # one count past numpy's int64 raised OverflowError, not DomainError
@@ -75,6 +75,11 @@ class TestNodeGrid:
 
 
 class TestBuildGram:
+    def test_matrix_past_numpy_sizes_refused(self, gauss1):
+        # 2^40 nodes are a grid, but their 2^80-entry Gram matrix is past numpy's arrays
+        with pytest.raises(DomainError, match="out of range"):
+            build_gram(gauss1, NodeGrid([0.0], [1.0], [2**40]))
+
     def test_1d_toeplitz_exact(self, gauss1):
         gram = build_gram(gauss1, NodeGrid([0.3], [0.7], [8]))
         for off in range(8):
@@ -499,6 +504,10 @@ class TestDecomposeSeparable:
             LowRankDictionary(gram, rc=rc)
 
 
+# sigma = spacing scales of test_difference_set_reaches_every_node_pair
+SCALES = (1e-100, 1e-9, 1.0, 1e6, 1e8, 1e9, 1e100)
+
+
 class TestVerify:
     def test_residual_takes_no_cross_kernel(self, gauss2, grid23, monkeypatch):
         # the residual needs rc at each node difference, not a kernel matrix
@@ -541,8 +550,15 @@ class TestVerify:
             (0.8, [1.0, -2.0], [0.9, 1.2], [3, 5]),
             (1.0, [0.0] * 3, [1.0] * 3, [1, 2, 3]),
             (1.0, [0.0] * 3, [1.0] * 3, [2, 2, 3]),
-        ],
-        ids=["1", "2", "6", "7", "2x3", "1x4", "3x5-moved", "1x2x3", "2x2x3"],
+        ]
+        # sigma = spacing is one problem in any units: at 1e8 and beyond, the
+        # absolute frequency tolerances refused it; at spacing 1e300, G = I
+        # and the frequencies' squares underflow
+        + [(s, [0.0] * len(c), [s] * len(c), c) for s in SCALES for c in ([6], [6, 6])]
+        + [(1.0, [0.0], [1e300], [6])],
+        ids=["1", "2", "6", "7", "2x3", "1x4", "3x5-moved", "1x2x3", "2x2x3"]
+        + [f"{'x'.join(map(str, c))}-at-{s:g}" for s in SCALES for c in ([6], [6, 6])]
+        + ["6-at-spacing-1e300"],
     )
     def test_difference_set_reaches_every_node_pair(self, sigma, origin, spacing, counts):
         # the dense oracle: every node pair against the Kronecker product of the factors
@@ -550,6 +566,7 @@ class TestVerify:
         grid = NodeGrid(origin, spacing, counts)
         gram = build_gram(kernel, grid)
         rc = decompose_grid(kernel, grid)
+        assert rc.validate().ok
 
         def all_pairs(rc):
             return float(np.max(np.abs(rc.cross(grid.nodes, grid.nodes) - functools.reduce(np.kron, gram.factors))))

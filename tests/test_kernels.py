@@ -47,6 +47,14 @@ class TestParamBox:
         assert pts.shape == (500, 2)
         assert box_contains(box, pts)
 
+    def test_arrays_past_numpy_sizes_refused(self, rng):
+        # 2^60 float64s are more bytes than numpy's largest array, which raised ValueError;
+        # each axis of the grid fits, and is too big to be made first
+        box = ParamBox([0.0, 0.0], [1.0, 2.0])
+        for call in (lambda: box.axes([2, 2**60]), lambda: box.grid([2**40, 2**21]), lambda: box.sample(rng, 2**59)):
+            with pytest.raises(DomainError, match="out of range"):
+                call()
+
     def test_grid_row_major_order(self):
         box = ParamBox([0.0, 0.0], [1.0, 2.0])
         pts = box.grid([2, 3])
@@ -115,6 +123,11 @@ class TestGaussianKernel:
             with pytest.raises(DomainError, match="out of range"):
                 GaussianIsotropicKernel(sigma=sigma, dim=1)
         assert GaussianIsotropicKernel(sigma=1e-150).sigma == 1e-150
+
+    def test_distances_whose_square_overflows_give_zero_without_warnings(self, gauss1, gauss2):
+        # 2e200 squared is past the float range; the suite turns warnings into errors
+        assert gauss1.axis_factor(np.array([1e200]), np.array([-1e200])).tolist() == [[0.0]]
+        assert gauss2.eval([[2e200, 0.0], [1e200, 1e200]]).tolist() == [0.0, 0.0]
 
 
 class TestDiscreteEmbedding:
@@ -313,9 +326,9 @@ class TestDiscreteEmbedding:
 
     def test_lattice_past_64_bit_indices_refused(self):
         gauss3 = GaussianIsotropicKernel(sigma=1.0, dim=3)
-        # 2^63 - 1 is numpy's last index; np.prod wrapped 2^66 samples to 0
-        assert DiscreteEmbedding(gauss3, [0.0] * 3, [1.0] * 3, 2**21 - 1).size == (2**21 - 1) ** 3
-        for counts in (2**21, 2**22):
+        # 2^60 - 1 float64s fill numpy's largest array; np.prod wrapped 2^66 samples to 0
+        assert DiscreteEmbedding(gauss3, [0.0] * 3, [1.0] * 3, 2**20 - 1).size == (2**20 - 1) ** 3
+        for counts in (2**20, 2**22):
             with pytest.raises(DomainError, match="out of range"):
                 DiscreteEmbedding(gauss3, [0.0] * 3, [1.0] * 3, counts)
         # one count past numpy's int64 raised OverflowError, not DomainError
