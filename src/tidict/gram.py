@@ -29,8 +29,8 @@ its Gram system.  Nodes are handled separably: each axis is
 decomposed on its own, then the product of the axis kernels is expanded
 into a flat cosine sum, the Kronecker product of the axis spectra; a 1-D
 grid is the one-axis case.  The resulting term count again satisfies
-``K = floor(L / 2)`` with ``L`` the total node count, and the Gram matrix
-is the Kronecker product of the per-axis Toeplitz factors.
+``K = floor(L / 2)`` with ``L`` the total node count.  The Gram matrix is
+the Kronecker product of the per-axis Toeplitz factors, kept as those.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
-from .kernels import GaussianIsotropicKernel, blocks, int_counts, lattice, lattice_size
+from .kernels import GaussianIsotropicKernel, axis_products, blocks, int_counts, lattice, lattice_size
 from .raised_cosine import FREQ_DISTINCT_TOL, RaisedCosineKernel, leading_entries
 
 __all__ = [
@@ -124,7 +124,7 @@ class NodeGrid:
 
 
 class GramSystem:
-    """The positive definite node Gram matrix of ``kernel`` on ``grid``.
+    """The positive definite node Gram matrix of ``kernel`` on ``grid``, kept as its axis factors.
 
     ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of the
     :class:`NodeGrid` ``grid`` is the Kronecker product of ``factors``, one
@@ -132,13 +132,13 @@ class GramSystem:
     Gram first row: the structure is exact, and in 1-D ``G`` is the kernel
     at every node displacement bit for bit.  ``G_a = V_a diag(lam_a) V_a^T``
     is computed once, at construction, and ``G = V diag(lam) V^T`` with
-    ``V = kron(V_a)`` and ``lam = kron(lam_a)``.  It gives the 2-norm
-    condition number ``lam_max / lam_min``, the product of
-    :attr:`axis_condition_numbers` (``inf`` when ``G`` is not positive
-    definite), and every linear solve.  A solve applies
-    ``G^-1 = V diag(1 / lam) V^T`` and then one step of iterative
-    refinement, ``x = x0 + G^-1 (b - G x0)``, which keeps it as accurate as
-    an LU solve.  Nodes that are not a :class:`NodeGrid` raise
+    ``V = kron(V_a)`` and ``lam = kron(lam_a)``, of which only ``lam`` is
+    formed.  It gives the 2-norm condition number ``lam_max / lam_min``, the
+    product of :attr:`axis_condition_numbers` (``inf`` when ``G`` is not
+    positive definite).  A solve applies ``G^-1 = V diag(1 / lam) V^T`` and
+    then one step of iterative refinement, ``x = x0 + G^-1 (b - G x0)``,
+    which keeps it as accurate as an LU solve, with ``V``, ``V^T`` and ``G``
+    one axis at a time.  Nodes that are not a :class:`NodeGrid` raise
     :class:`TypeError`; a condition number beyond ``condition_limit``
     raises :class:`IllConditionedError`.
     """
@@ -151,12 +151,12 @@ class GramSystem:
     ):
         if not isinstance(grid, NodeGrid):
             raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
-        lattice_size(grid.counts * 2)  # the L x L matrix, and so each factor
+        lattice_size(grid.counts * 2)  # the dense L x L raised-cosine Gram of psd_margin, and so each factor
         idx = [np.arange(c) for c in grid.counts]
         factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
         self.kernel = kernel
         self.grid = grid
-        axis_eigvals, axis_eigvecs = zip(*(np.linalg.eigh(f) for f in factors))
+        axis_eigvals, eigvecs = zip(*(np.linalg.eigh(f) for f in factors))
         self.axis_condition_numbers = tuple(
             float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf for lam in axis_eigvals
         )
@@ -166,37 +166,41 @@ class GramSystem:
         if not math.isfinite(cond) or cond > condition_limit:
             raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds limit {condition_limit:.3e}")
         self._inv_eigvals = 1.0 / eigvals
-        self._eigvecs = reduce(np.kron, axis_eigvecs)
         self.factors = tuple(factors)
-        self.matrix = reduce(np.kron, factors)
+        # Fortran-ordered operands: OpenBLAS 0.3.31 then sums a point alike in most blocks (see pad_rows)
+        self._vt, self._v = tuple(v.T for v in eigvecs), tuple(map(np.asfortranarray, eigvecs))
 
     @property
     def size(self) -> int:
         return self.grid.size
 
-    def _spectral_rows(self, rows: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """``rows G^-1`` from the eigendecomposition alone, into ``out`` by way of ``scratch``."""
-        v = self._eigvecs
-        t = np.matmul(rows, v, out=scratch)
-        t *= self._inv_eigvals
-        return np.matmul(t, v.T, out=out)
+    def _spectral(self, block: np.ndarray, bufs) -> np.ndarray:
+        """``V diag(1 / lam) V^T block`` for a block of ``L`` rows, in ``bufs`` (see :func:`axis_products`)."""
+        t = axis_products(self._vt, block, bufs)
+        t *= self._inv_eigvals.reshape(t.shape[:2] + (1,))
+        return axis_products(self._v, t, bufs)
 
     def solve_rows(self, rows: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
         """Solve ``x G = r`` for a row ``r`` or for each row of a stack.
 
-        ``G`` is symmetric, so this is ``G x = r`` row by row; it takes the
-        rows as they are stored, and its products are matrix products over
-        the whole stack.  ``out``, shaped like ``rows``, receives ``x``, and
-        ``scratch`` is two more such arrays, overwritten, so that a solve
-        allocates nothing of the size of ``rows``.  The bits are the same
-        either way.
+        ``G`` is symmetric, so this is ``G x = r`` row by row, taken on the
+        block transposed, ``(L, n)`` with the points last, so that each axis
+        is one stacked product whatever ``n``.  ``out``, shaped like
+        ``rows``, receives ``x``, and ``scratch`` is two more such arrays,
+        C-contiguous and overwritten, so that a solve allocates nothing of
+        the size of ``rows``.  The bits are the same either way.
         """
         rows = np.asarray(rows, dtype=float)
-        s1, s2 = (None, None) if scratch is None else scratch
-        x = self._spectral_rows(rows, out, s1)
-        residual = np.matmul(x, self.matrix, out=s1)  # s1 is free again
-        np.subtract(rows, residual, out=residual)
-        x += self._spectral_rows(residual, residual, s2)
+        x = np.empty_like(rows) if out is None else out
+        b = rows.reshape(-1, self.size).T
+        o, p, q = ((np.empty_like(rows) if w is None else w).reshape(b.shape) for w in (x, *(scratch or (None, None))))
+        np.copyto(o, b)
+        x0 = self._spectral(o, (q, p))  # in p: an even number of products from o
+        # G x0, by the Fortran-ordered G_a^T = G_a, lands in q whatever the parity of the number of axes
+        r = axis_products([f.T for f in self.factors], x0, (q, o) if len(self.factors) % 2 else (o, q)).reshape(b.shape)
+        np.subtract(b, r, out=r)
+        dx = self._spectral(r, (o, q))  # in q, where r is
+        np.add(x0.reshape(b.shape).T, dx.reshape(b.shape).T, out=x.reshape(b.shape[::-1]))
         return x
 
 
@@ -402,7 +406,7 @@ def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> float:
     On the grid both kernels depend only on the index difference ``m``, at
     ``delta = m * spacing``, and both are even, so the differences with
     ``m_0 >= 0`` reach every node pair.  ``kappa`` there is the product of
-    the axis Gram rows, which gives the bits of ``gram.matrix``'s entries;
+    the axis Gram rows, the bits of ``reduce(np.kron, gram.factors)``;
     ``rc`` there is its cosine sum alone, :meth:`RaisedCosineKernel.values`,
     taken in the blocks of :func:`tidict.kernels.blocks`.
     """

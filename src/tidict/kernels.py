@@ -94,11 +94,11 @@ def pad_rows(rows: np.ndarray) -> np.ndarray:
     ``rows.shape[0]`` rows of the result.
 
     Measured on OpenBLAS 0.3.31 (``DYNAMIC_ARCH``) on an AVX-512 Xeon:
-    padded, a row's errors got the same bits in any block of up to 4,096
-    rows for L = 6, 12 and 216 nodes, but not for L = 18, 20 or 32, whose
-    products change their summation once a block is long enough (for
-    ``(n, 20) @ (20, 20)`` from n = 2,504).  So the padding is not a
-    guarantee that a row's bits do not depend on its block.
+    padded, a row's errors got the same bits alone as in a block of 4,096
+    rows for L = 6, 18, 20, 32 and 216 nodes, but not the Taylor errors on
+    20 nodes, nor a 1-D solve in a long block of a length not a multiple of
+    8 (from 2,531 rows on 20 nodes).  So the padding is not a guarantee
+    that a row's bits do not depend on its block.
     """
     short = _MIN_GEMM_ROWS - rows.shape[0]
     if short <= 0 or rows.shape[0] == 0:
@@ -231,6 +231,23 @@ def lattice(axes) -> np.ndarray:
     """
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def axis_products(mats, block: np.ndarray, bufs=None) -> np.ndarray:
+    """The C-order tensor ``block``, ``(n_0, ..., n_{d-1}, rest)``, with ``mats[a]`` (``m_a x n_a``) on axis ``a``.
+
+    Each axis is one product stacked over the axes before it, never over
+    ``rest``.  With ``bufs``, two C-contiguous arrays of the block's size
+    (``mats`` square), each product goes into the one that does not hold
+    its operand.
+    """
+    done = 1
+    for m in mats:
+        src = block.reshape(done, m.shape[1], -1)
+        dst = None if bufs is None else bufs[np.may_share_memory(src, bufs[0])].reshape(src.shape)
+        block = np.matmul(m, src, out=dst)
+        done *= m.shape[0]
+    return block
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,14 +570,8 @@ class DiscreteEmbedding:
         if len(starts) > 1 and shape[0] - starts[-1] < _MIN_GEMM_ROWS:
             starts.pop()  # a short tail joins the previous slab
         for start, stop in zip(starts, starts[1:] + [shape[0]]):
-            slab = (stop - start,) + shape[1:]
-            block = t
-            for a, profile in enumerate(profiles):
-                if a == 0:
-                    profile = profile[start:stop]
-                # (done, n_a, rest) -> (done, m_a, rest) by a stack of products, without copying t
-                block = profile @ block.reshape(math.prod(slab[:a]), self.samples_per_axis[a], -1)
-            yield start, block.reshape(slab)
+            block = axis_products([profiles[0][start:stop], *profiles[1:]], t)
+            yield start, block.reshape((stop - start,) + shape[1:])
 
     def correlations(self, signal, axes) -> np.ndarray:
         """The whole tensor of :meth:`correlation_slabs`, its slabs stacked."""

@@ -24,8 +24,8 @@ of differences to the node grid: ``k`` from the grid's axes, and ``c``
 and atom selection's surrogate from phases relative to the first node,
 so a grid far from 0 behaves as the same grid at 0.  A block of points
 is solved as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`:
-matrix products against the eigenvectors of ``G`` that the Gram system
-computed once.  Every sweep takes its points in the fixed, padded blocks of
+products with the axis factors of ``G`` and their eigenvectors, one axis
+at a time.  Every sweep takes its points in the fixed, padded blocks of
 :func:`tidict.kernels.blocks`: memory does not grow with the points, and
 results are deterministic, though a point's last bits may depend on its
 block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error`, like
@@ -62,7 +62,9 @@ class SelectAtomSettings:
     ``coarse_per_axis`` grid points seed the search; the best
     ``num_starts`` seeds are refined by damped projected Newton ascent
     until the (projected) gradient norm drops below ``grad_tol`` or
-    ``max_iter`` iterations are spent.
+    ``max_iter`` iterations are spent.  The gradient is taken per grid
+    step: ``grad_tol`` is in units of the surrogate per grid step, so the
+    search does not depend on the units of theta.
     """
 
     coarse_per_axis: int = 32
@@ -307,7 +309,7 @@ class LowRankDictionary:
 
         candidates = []
         for x0 in starts:
-            x, fx = self._newton_ascent(f_grad_hess, x0, lower, upper, settings)
+            x, fx = self._newton_ascent(f_grad_hess, x0, lower, upper, self.grid.spacing, settings)
             candidates.append((x, fx))
         best = max(fx for _, fx in candidates)
         tied = [x for x, fx in candidates if fx >= best - _TIE_TOL]
@@ -316,23 +318,29 @@ class LowRankDictionary:
         return origin + theta, float(f_batch(theta.reshape(1, -1))[0])
 
     @staticmethod
-    def _newton_ascent(f_grad_hess, x0, lower, upper, settings):
-        """Damped Newton ascent projected onto box bounds."""
+    def _newton_ascent(f_grad_hess, x0, lower, upper, spacing, settings):
+        """Damped Newton ascent projected onto box bounds.
+
+        The stopping test and the steepest-ascent step are taken in grid
+        steps, ``x / spacing``: the gradient there is ``grad * spacing``, and
+        its step in ``x`` is ``spacing * (spacing * grad)``.
+        """
         x = np.clip(x0, lower, upper)
         fx, grad, hess = f_grad_hess(x)
         for _ in range(settings.max_iter):
             free = grad.copy()
             free[(x <= lower) & (grad < 0.0)] = 0.0
             free[(x >= upper) & (grad > 0.0)] = 0.0
-            if np.linalg.norm(free) <= settings.grad_tol:
+            if np.linalg.norm(free * spacing) <= settings.grad_tol:
                 break
+            steepest = spacing * (spacing * grad)
             try:
                 np.linalg.cholesky(-hess)  # definiteness test
                 step = np.linalg.solve(-hess, grad)
             except np.linalg.LinAlgError:
-                step = grad  # Hessian not negative definite here: steepest ascent
+                step = steepest  # Hessian not negative definite here
             if step @ grad <= 0.0:
-                step = grad
+                step = steepest
             moved = False
             t = 1.0
             while t >= 2.0**-40:

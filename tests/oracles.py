@@ -6,7 +6,9 @@ sharing no code with the solvers under test.
 """
 
 import math
+from functools import reduce
 
+import mpmath
 import numpy as np
 import scipy.optimize
 
@@ -64,7 +66,7 @@ def embedded_surrogate_atoms(ld, embedding, thetas):
     """Explicit surrogate atoms in the embedding space, one row per parameter."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     node_atoms = embedding.atoms(ld.nodes)
-    coords = lu_solve(ld.gram.matrix, ld.coefficients(thetas).T).T
+    coords = lu_solve(dense_gram(ld.gram), ld.coefficients(thetas).T).T
     return coords @ node_atoms
 
 
@@ -212,9 +214,32 @@ def sampled_taylor_errors(embedding, center, order, thetas):
     return out
 
 
+def dense_gram(gram):
+    """A Gram system's dense ``L x L`` matrix, the Kronecker product of its axis factors."""
+    return reduce(np.kron, gram.factors)
+
+
 def lu_solve(matrix, rhs):
     """``matrix^-1 rhs`` by LU factorisation with partial pivoting (LAPACK ``gesv``)."""
     return np.linalg.solve(matrix, rhs)
+
+
+def mp_solve(gram, rows, digits=50):
+    """``rows G^-1`` at ``digits`` significant digits, from the float64 entries of the axis factors.
+
+    ``G[p, q] = prod_a G_a[p_a, q_a]`` is formed and LU-factored in mpmath,
+    so the result solves the system of the stored factors, whose products
+    float64 would round, to far below float64's resolution; it is rounded
+    to float64 at the end.
+    """
+    idx = list(np.ndindex(*gram.grid.counts))
+    with mpmath.workdps(digits):
+        matrix = mpmath.matrix(
+            [[mpmath.fprod(mpmath.mpf(f[i, j]) for f, i, j in zip(gram.factors, p, q)) for q in idx] for p in idx]
+        )
+        return np.array(
+            [[float(v) for v in mpmath.lu_solve(matrix, mpmath.matrix(row.tolist()))] for row in np.atleast_2d(rows)]
+        )
 
 
 def lu_node_errors(ld):
@@ -222,14 +247,14 @@ def lu_node_errors(ld):
     nodes = ld.nodes
     c = ld.coefficients(nodes)
     k = ld.kernel.eval((nodes[:, None, :] - nodes[None, :, :]).reshape(-1, ld.dim)).reshape(ld.rank, ld.rank)
-    solved = lu_solve(ld.gram.matrix, c.T).T
+    solved = lu_solve(dense_gram(ld.gram), c.T).T
     sq = 1.0 - 2.0 * np.sum(k * solved, axis=1) + np.sum(c * solved, axis=1)
     return np.sqrt(np.clip(sq, 0.0, None))
 
 
 def gram_inverse(gram):
     """Explicit inverse of a Gram system's matrix by LU, symmetrized."""
-    inv = lu_solve(gram.matrix, np.eye(gram.size))
+    inv = lu_solve(dense_gram(gram), np.eye(gram.size))
     return 0.5 * (inv + inv.T)
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -333,6 +334,21 @@ class TestCompareTaylor:
         assert "outside the window" in err
 
 
+@functools.cache
+def _scaled_selection(dim, s):
+    """``theta_selected / s`` of noiseless select-atom, sigma = s, spacing 0.5 s: 12 nodes in 1-D, 6x6 in 2-D."""
+    counts, theta = (12, [2.3]) if dim == 1 else ([6, 6], [1.1, 1.7])
+    payload = {
+        "kernel": {"kernel": "gaussian", "sigma": s, "dim": dim},
+        "grid": {"origin": 0.0, "spacing": 0.5 * s, "counts": counts},
+        "select_atom": {"theta_true": [t * s for t in theta]},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), payload)
+        assert main(["select-atom", "--config", cfg, "--out", tmp]) == 0
+        return np.array(json.loads((Path(tmp) / "select_atom.json").read_text())["theta_selected"]) / s
+
+
 class TestSelectAtom:
     def test_noiseless_recovery(self, tmp_path):
         payload = config_1d(select_atom={"theta_true": 2.3})
@@ -418,6 +434,12 @@ class TestSelectAtom:
         assert result["theta_oracle"] == theta.tolist()
         assert result["oracle_value"] == pytest.approx(value, rel=1e-13)
         assert result["oracle_cell_diagonal"] == cell
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e6, 1e8, 1e9, 1e100])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_selection_does_not_depend_on_the_units_of_theta(self, dim, scale):
+        # sigma = s and spacing 0.5 s are one problem for every s
+        assert np.max(np.abs(_scaled_selection(dim, scale) - _scaled_selection(dim, 1.0))) <= 1e-9
 
     def test_runs_in_bounded_memory(self, tmp_path):
         # about one 256x256 signal: the 25 node atoms alone would take 12.5 MiB
@@ -774,17 +796,18 @@ GRID_3D = {
         (dict(README_2D, taylor={"order": 2}), "errormap", "errormap.csv"),
         (dict(README_2D, taylor={"order": 2}), "compare-taylor", "compare.csv"),
         (GRID_3D, "errormap", "errormap.csv"),
+        (dict(COND_1D, evaluation={"resolution": 5000}), "errormap", "errormap.csv"),
     ],
-    ids=["readme-2d-errormap", "readme-2d-compare-taylor", "grid-3d-errormap"],
+    ids=["readme-2d-errormap", "readme-2d-compare-taylor", "grid-3d-errormap", "cond-1d-errormap"],
 )
 def test_sweep_rows_do_not_depend_on_the_block(tmp_path, monkeypatch, payload, sub, name):
     """Every CSV row has the same bits in blocks of 97 points as in one block of 4,096.
 
     The CSV shows each row's bits, where validate's report keeps only the
-    largest deviation over its pairs.  readme-2d sweeps 2,500 points and
-    grid-3d 1,000.  cond-1d is left out: on its 20-node grid a row's bits do
-    depend on its block, and ROADMAP.md records it under "Block bits" in
-    the per-axis errors item.
+    largest deviation over its pairs.  readme-2d sweeps 2,500 points,
+    grid-3d 1,000 and cond-1d 5,000.  cond-1d's compare-taylor is left out:
+    on its 20-node grid the Taylor errors' row bits do depend on the block,
+    and ROADMAP.md records it under "Block bits" in the per-axis errors item.
     """
     cfg = write_config(tmp_path, payload)
     monkeypatch.setattr(tidict.kernels, "_CHUNK", 4096)
@@ -1140,8 +1163,8 @@ class TestRuntimeDependencies:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_subcommands_do_not_import_scipy(self, tmp_path):
-        # scipy and jsonschema are test-only dependencies: the CLI must run on
-        # numpy alone; the CSV writer's tables need no fractions or decimal
+        # scipy, jsonschema and mpmath are test-only dependencies: the CLI must run
+        # on numpy alone; the CSV writer's tables need no fractions or decimal
         payload = config_2d(evaluation={"resolution": 5}, taylor={"order": 2})
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
@@ -1152,7 +1175,7 @@ class TestRuntimeDependencies:
             for sub in {SUBCOMMANDS!r}:
                 assert main([sub, "--config", {cfg!r}, "--out", {str(out)!r}]) == 0, sub
             print(sorted(m for m in sys.modules if m.split(".")[0] in
-                         ("scipy", "jsonschema", "referencing", "fractions", "decimal")))
+                         ("scipy", "jsonschema", "referencing", "mpmath", "fractions", "decimal")))
             """
         )
         src = str(Path(tidict.__file__).resolve().parents[1])

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import math
@@ -8,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import gram_inverse, lu_node_errors, lu_solve
+from oracles import dense_gram, gram_inverse, lu_node_errors, lu_solve, mp_solve
 from tidict import (
     DomainError,
     GaussianIsotropicKernel,
@@ -83,16 +82,16 @@ class TestBuildGram:
     def test_1d_toeplitz_exact(self, gauss1):
         gram = build_gram(gauss1, NodeGrid([0.3], [0.7], [8]))
         for off in range(8):
-            diag = np.diagonal(gram.matrix, offset=off)
+            diag = np.diagonal(dense_gram(gram), offset=off)
             # every diagonal is bitwise constant
             assert np.all(diag == diag[0])
 
     def test_2d_matches_kronecker_of_axis_grams(self, gauss2, grid23):
         gram = build_gram(gauss2, grid23)
         k1 = GaussianIsotropicKernel(1.0, dim=1)
-        g_a = build_gram(k1, NodeGrid([0.0], [1.0], [2])).matrix
-        g_b = build_gram(k1, NodeGrid([0.0], [1.0], [3])).matrix
-        assert np.array_equal(gram.matrix, np.kron(g_a, g_b))
+        g_a = dense_gram(build_gram(k1, NodeGrid([0.0], [1.0], [2])))
+        g_b = dense_gram(build_gram(k1, NodeGrid([0.0], [1.0], [3])))
+        assert np.array_equal(dense_gram(gram), np.kron(g_a, g_b))
 
     @pytest.mark.parametrize("spacing", [0.5, 0.7, 1.0, 2.5])
     def test_1d_equals_the_displacement_oracle_bitwise(self, gauss1, spacing):
@@ -101,11 +100,12 @@ class TestBuildGram:
             idx = np.arange(count)
             delta = (idx[:, None] - idx[None, :]) * spacing
             oracle = gauss1.eval(delta.reshape(-1, 1)).reshape(count, count)
-            assert np.array_equal(gram.matrix, oracle), count
+            assert np.array_equal(dense_gram(gram), oracle), count
 
     def test_peak_memory_is_a_few_gram_matrices(self):
-        # the factors are small; G and its eigenvectors are the only L x L arrays
-        grid = NodeGrid([0.0] * 3, [1.0] * 3, [10, 10, 10])
+        # only the axis factors, their eigenpairs and the L eigenvalues are kept:
+        # one L x L array would take 128 MiB here
+        grid = NodeGrid([0.0] * 3, [1.0] * 3, [16, 16, 16])
         kernel = GaussianIsotropicKernel(1.0, dim=3)
         tracemalloc.start()
         try:
@@ -113,7 +113,7 @@ class TestBuildGram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * grid.size**2 * 8
+        assert peak < 8 * 8 * (sum(c * c for c in grid.counts) + grid.size)
 
     def test_node_array_is_refused(self, gauss2):
         nodes = np.array([[0.0, 0.0], [0.3, 1.1], [2.0, -0.4]])
@@ -123,8 +123,8 @@ class TestBuildGram:
     def test_solve_and_inverse(self, gauss1, rng):
         gram = build_gram(gauss1, NodeGrid([0.0], [1.0], [5]))
         b = rng.normal(size=5)
-        assert np.max(np.abs(gram.matrix @ gram.solve_rows(b) - b)) < 1e-12
-        assert np.max(np.abs(gram.matrix @ gram_inverse(gram) - np.eye(5))) < 1e-10
+        assert np.max(np.abs(dense_gram(gram) @ gram.solve_rows(b) - b)) < 1e-12
+        assert np.max(np.abs(dense_gram(gram) @ gram_inverse(gram) - np.eye(5))) < 1e-10
 
     def test_condition_number_limit(self, gauss1):
         dense = NodeGrid([0.0], [0.01], [6])
@@ -161,15 +161,34 @@ class TestGramSystem:
     @pytest.mark.parametrize("grid", BENCH_GRIDS + [(1, 1.0, (6,))])
     def test_condition_number_matches_svd(self, grid):
         gram = _gram(*grid)
-        assert gram.condition_number == pytest.approx(np.linalg.cond(gram.matrix), rel=1e-5)
+        assert gram.condition_number == pytest.approx(np.linalg.cond(dense_gram(gram)), rel=1e-5)
 
-    def test_backward_error_no_worse_than_lu(self, rng):
-        gram = _gram(*COND_1D)
-        assert gram.condition_number > 1e11
+    # (grid, a condition number it exceeds): cond-1d, the README 2-D grid, the
+    # 3-D 6x6x6 grid and a 2-D grid at spacing 0.5 whose cond(G) is 1.2e11
+    @pytest.mark.parametrize(
+        "grid, least_cond",
+        [(COND_1D, 1e11), ((2, 1.0, (2, 3)), 1e2), ((3, 1.0, (6, 6, 6)), 1e7), ((2, 0.5, (6, 6)), 1e9)],
+        ids=["cond-1d", "2x3", "6x6x6", "6x6-spacing0.5"],
+    )
+    def test_backward_error_no_worse_than_lu(self, rng, grid, least_cond):
+        gram = _gram(*grid)
+        assert gram.condition_number > least_cond
+        matrix = dense_gram(gram)
         b = rng.normal(size=(gram.size, 64))
-        ours = _backward_error(gram.matrix, gram.solve_rows(b.T).T, b)
-        lu = _backward_error(gram.matrix, lu_solve(gram.matrix, b), b)
+        ours = _backward_error(matrix, gram.solve_rows(b.T).T, b)
+        lu = _backward_error(matrix, lu_solve(matrix, b), b)
         assert np.max(ours) <= 2.0 * np.max(lu)
+
+    # (dim, spacing, counts), at most 20 nodes so that the 50-digit solve stays fast
+    @pytest.mark.parametrize(
+        "grid", [COND_1D, (2, 1.0, (2, 3)), (2, 0.5, (4, 5))], ids=["cond-1d", "2x3", "4x5-spacing0.5"]
+    )
+    def test_forward_error_against_an_extended_precision_solve(self, rng, grid):
+        gram = _gram(*grid)
+        rows = rng.normal(size=(8, gram.size))
+        exact = mp_solve(gram, rows)
+        error = np.linalg.norm(gram.solve_rows(rows) - exact, axis=1) / np.linalg.norm(exact, axis=1)
+        assert np.max(error) <= 4.0 * gram.condition_number * np.finfo(float).eps
 
     @pytest.mark.parametrize("grid", BENCH_GRIDS + [(2, 0.5, (12, 12))])
     def test_condition_number_is_the_product_of_the_axis_numbers(self, grid):
@@ -569,7 +588,7 @@ class TestVerify:
         assert rc.validate().ok
 
         def all_pairs(rc):
-            return float(np.max(np.abs(rc.cross(grid.nodes, grid.nodes) - functools.reduce(np.kron, gram.factors))))
+            return float(np.max(np.abs(rc.cross(grid.nodes, grid.nodes) - dense_gram(gram))))
 
         assert verify_decomposition(gram, rc) == pytest.approx(all_pairs(rc), rel=0.0, abs=4 * np.finfo(float).eps)
         if rc.num_terms == 0:
