@@ -29,8 +29,8 @@ its Gram system.  Nodes are handled separably: each axis is
 decomposed on its own, then the product of the axis kernels is expanded
 into a flat cosine sum, the Kronecker product of the axis spectra; a 1-D
 grid is the one-axis case.  The resulting term count again satisfies
-``K = floor(L / 2)`` with ``L`` the total node count.  The Gram matrix is
-the Kronecker product of the per-axis Toeplitz factors, kept as those.
+``K = floor(L / 2)`` with ``L`` the total node count.  The Gram matrix and
+its Cholesky factor are Kronecker products of per-axis factors, kept so.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as ncheb
 
 from .errors import DomainError, IllConditionedError, NoValidDecomposition
-from .kernels import GaussianIsotropicKernel, axis_products, blocks, int_counts, lattice, lattice_size
+from .kernels import GaussianIsotropicKernel, blocks, int_counts, lattice, lattice_size, pad_rows
 from .raised_cosine import FREQ_DISTINCT_TOL, RaisedCosineKernel, leading_entries
 
 __all__ = [
@@ -130,17 +130,14 @@ class GramSystem:
     :class:`NodeGrid` ``grid`` is the Kronecker product of ``factors``, one
     Toeplitz matrix ``G_a[i, j] = row_a[|i - j|]`` per axis, of the axis's
     Gram first row: the structure is exact, and in 1-D ``G`` is the kernel
-    at every node displacement bit for bit.  ``G_a = V_a diag(lam_a) V_a^T``
-    is computed once, at construction, and ``G = V diag(lam) V^T`` with
-    ``V = kron(V_a)`` and ``lam = kron(lam_a)``, of which only ``lam`` is
-    formed.  It gives the 2-norm condition number ``lam_max / lam_min``, the
-    product of :attr:`axis_condition_numbers` (``inf`` when ``G`` is not
-    positive definite).  A solve applies ``G^-1 = V diag(1 / lam) V^T`` and
-    then one step of iterative refinement, ``x = x0 + G^-1 (b - G x0)``,
-    which keeps it as accurate as an LU solve, with ``V``, ``V^T`` and ``G``
-    one axis at a time.  Nodes that are not a :class:`NodeGrid` raise
-    :class:`TypeError`; a condition number beyond ``condition_limit``
-    raises :class:`IllConditionedError`.
+    at every node displacement bit for bit.  ``G = C C^T``, ``C`` the
+    Kronecker product of the axis Cholesky factors ``cholesky``, never
+    formed.  The axis eigenvalues give the condition number
+    ``lam_max / lam_min``, the product of :attr:`axis_condition_numbers`
+    (``inf`` when ``G`` is not positive definite).  Nodes that are not a
+    :class:`NodeGrid` raise :class:`TypeError`; a condition number beyond
+    ``condition_limit``, or a factor that Cholesky refuses, raises
+    :class:`IllConditionedError`.
     """
 
     def __init__(
@@ -156,7 +153,7 @@ class GramSystem:
         factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
         self.kernel = kernel
         self.grid = grid
-        axis_eigvals, eigvecs = zip(*(np.linalg.eigh(f) for f in factors))
+        axis_eigvals = [np.linalg.eigh(f)[0] for f in factors]  # not eigvalsh, whose last bits differ
         self.axis_condition_numbers = tuple(
             float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf for lam in axis_eigvals
         )
@@ -165,43 +162,52 @@ class GramSystem:
         cond = self.condition_number = float(hi / lo) if lo > 0.0 else math.inf
         if not math.isfinite(cond) or cond > condition_limit:
             raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds limit {condition_limit:.3e}")
-        self._inv_eigvals = 1.0 / eigvals
+        try:
+            self.cholesky = tuple(map(np.linalg.cholesky, factors))
+        except np.linalg.LinAlgError:
+            raise IllConditionedError(f"Gram matrix of condition number {cond:.3e} is not positive definite") from None
         self.factors = tuple(factors)
-        # Fortran-ordered operands: OpenBLAS 0.3.31 then sums a point alike in most blocks (see pad_rows)
-        self._vt, self._v = tuple(v.T for v in eigvecs), tuple(map(np.asfortranarray, eigvecs))
 
     @property
     def size(self) -> int:
         return self.grid.size
 
-    def _spectral(self, block: np.ndarray, bufs) -> np.ndarray:
-        """``V diag(1 / lam) V^T block`` for a block of ``L`` rows, in ``bufs`` (see :func:`axis_products`)."""
-        t = axis_products(self._vt, block, bufs)
-        t *= self._inv_eigvals.reshape(t.shape[:2] + (1,))
-        return axis_products(self._v, t, bufs)
+    def whiten(self, block: np.ndarray) -> np.ndarray:
+        """``C^-1 block`` in place, for a C-contiguous ``(L, n)`` block, so ``x^T G^-1 y`` is a dot product of columns."""
+        return _substitute(self.cholesky, block, upper=False)
 
-    def solve_rows(self, rows: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
+    def solve_rows(self, rows: np.ndarray) -> np.ndarray:
         """Solve ``x G = r`` for a row ``r`` or for each row of a stack.
 
-        ``G`` is symmetric, so this is ``G x = r`` row by row, taken on the
-        block transposed, ``(L, n)`` with the points last, so that each axis
-        is one stacked product whatever ``n``.  ``out``, shaped like
-        ``rows``, receives ``x``, and ``scratch`` is two more such arrays,
-        C-contiguous and overwritten, so that a solve allocates nothing of
-        the size of ``rows``.  The bits are the same either way.
+        ``G`` is symmetric, so this is ``G x = r``, taken on the stack
+        padded by :func:`tidict.kernels.pad_rows` and transposed to
+        ``(L, n)``: :meth:`whiten`, then a back substitution by ``C^T``.
         """
-        rows = np.asarray(rows, dtype=float)
-        x = np.empty_like(rows) if out is None else out
-        b = rows.reshape(-1, self.size).T
-        o, p, q = ((np.empty_like(rows) if w is None else w).reshape(b.shape) for w in (x, *(scratch or (None, None))))
-        np.copyto(o, b)
-        x0 = self._spectral(o, (q, p))  # in p: an even number of products from o
-        # G x0, by the Fortran-ordered G_a^T = G_a, lands in q whatever the parity of the number of axes
-        r = axis_products([f.T for f in self.factors], x0, (q, o) if len(self.factors) % 2 else (o, q)).reshape(b.shape)
-        np.subtract(b, r, out=r)
-        dx = self._spectral(r, (o, q))  # in q, where r is
-        np.add(x0.reshape(b.shape).T, dx.reshape(b.shape).T, out=x.reshape(b.shape[::-1]))
-        return x
+        flat = np.asarray(rows, dtype=float).reshape(-1, self.size)
+        x = pad_rows(flat).T.copy()
+        _substitute([c.T for c in self.cholesky], self.whiten(x), upper=True)
+        return x.T[: len(flat)].reshape(np.shape(rows))
+
+
+def _substitute(mats, block: np.ndarray, upper: bool) -> np.ndarray:
+    """``kron(mats)^-1 block`` in place, ``mats`` lower triangular (or ``upper``), ``block`` C-contiguous ``(L, n)``.
+
+    Axis by axis, stacked over the axes before it, one row of ``mats[a]`` at
+    a time: subtract its known entries times the rows solved, divide by its
+    diagonal entry.  Returns ``block``.
+    """
+    if not block.flags.c_contiguous:  # reshape would copy, and the result be lost
+        raise DomainError(f"need a C-contiguous block of {math.prod(t.shape[0] for t in mats)} rows")
+    done = 1
+    for t in mats:
+        n = t.shape[0]
+        x = block.reshape(done, n, -1)
+        for i in range(n - 1, -1, -1) if upper else range(n):
+            known = slice(i + 1, n) if upper else slice(0, i)
+            x[:, i] -= np.matmul(t[i, known], x[:, known])
+            x[:, i] /= t[i, i]
+        done *= n
+    return block
 
 
 def _axis_rows(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> list[np.ndarray]:

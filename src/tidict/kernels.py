@@ -33,7 +33,7 @@ from .errors import DomainError, TruncationError
 _DEFICIT_CHUNK = 1 << 20
 # rows per block of blocks(), the block rule of every per-point sweep
 _CHUNK = 4096
-# fewest rows pad_rows hands to a matrix product
+# pad_rows hands a matrix product a multiple of this many rows
 _MIN_GEMM_ROWS = 8
 # most threads sweep() runs: each worker holds one block and its workspace
 # in flight, and a gain was measured only on 2 CPUs
@@ -85,23 +85,19 @@ def as_param_array(x, dim: int, name: str = "theta") -> tuple[np.ndarray, bool]:
 
 
 def pad_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows``, with its last row repeated up to ``_MIN_GEMM_ROWS`` rows.
+    """``rows``, with its last row repeated up to a multiple of ``_MIN_GEMM_ROWS`` rows.
 
-    numpy hands a lone row to the BLAS vector routines, and OpenBLAS may
-    sum a block of a few rows in another order than a larger block: against
-    a transposed 108-column operand, blocks of up to 5 rows did.  Callers
-    pad a block before its matrix products and keep the first
-    ``rows.shape[0]`` rows of the result.
-
-    Measured on OpenBLAS 0.3.31 (``DYNAMIC_ARCH``) on an AVX-512 Xeon:
-    padded, a row's errors got the same bits alone as in a block of 4,096
-    rows for L = 6, 18, 20, 32 and 216 nodes, but not the Taylor errors on
-    20 nodes, nor a 1-D solve in a long block of a length not a multiple of
-    8 (from 2,531 rows on 20 nodes).  So the padding is not a guarantee
-    that a row's bits do not depend on its block.
+    OpenBLAS may sum a row of a product in another order in a block of
+    another length: a block of up to 5 rows against a transposed 108-column
+    operand, or the tail rows of a Gram substitution in a block whose
+    length is not a multiple of 8.  Callers pad a block before its matrix
+    products and keep the first ``rows.shape[0]`` rows.  On OpenBLAS 0.3.31
+    (``DYNAMIC_ARCH``) on an AVX-512 Xeon that gave a row's errors and
+    solves the same bits in any block on the tests' grids, but not the
+    Taylor errors on 20 nodes: the padding is no guarantee.
     """
-    short = _MIN_GEMM_ROWS - rows.shape[0]
-    if short <= 0 or rows.shape[0] == 0:
+    short = -rows.shape[0] % _MIN_GEMM_ROWS
+    if short == 0:
         return rows
     return np.concatenate([rows, np.repeat(rows[-1:], short, axis=0)])
 
@@ -233,19 +229,18 @@ def lattice(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def axis_products(mats, block: np.ndarray, bufs=None) -> np.ndarray:
+def axis_products(mats, block: np.ndarray) -> np.ndarray:
     """The C-order tensor ``block``, ``(n_0, ..., n_{d-1}, rest)``, with ``mats[a]`` (``m_a x n_a``) on axis ``a``.
 
     Each axis is one product stacked over the axes before it, never over
-    ``rest``.  With ``bufs``, two C-contiguous arrays of the block's size
-    (``mats`` square), each product goes into the one that does not hold
-    its operand.
+    ``rest``; an axis with nothing after it, ``rest = 1``, is one
+    ``(done, n_a) @ mats[a].T`` product instead of ``done`` stacked
+    matrix-vector ones.
     """
     done = 1
     for m in mats:
         src = block.reshape(done, m.shape[1], -1)
-        dst = None if bufs is None else bufs[np.may_share_memory(src, bufs[0])].reshape(src.shape)
-        block = np.matmul(m, src, out=dst)
+        block = src[:, :, 0] @ m.T if src.shape[2] == 1 else np.matmul(m, src)
         done *= m.shape[0]
     return block
 

@@ -22,10 +22,10 @@ With ``k = kappa(theta - theta_l)`` the exact cross terms, the squared
 error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  Both cross terms are taken
 of differences to the node grid: ``k`` from the grid's axes, and ``c``
 and atom selection's surrogate from phases relative to the first node,
-so a grid far from 0 behaves as the same grid at 0.  A block of points
-is solved as rows, ``c G^-1``, through :meth:`GramSystem.solve_rows`:
-products with the axis factors of ``G`` and their eigenvectors, one axis
-at a time.  Every sweep takes its points in the fixed, padded blocks of
+so a grid far from 0 behaves as the same grid at 0.  ``G^-1`` enters
+through :meth:`GramSystem.whiten`, the axis Cholesky factors' forward
+substitutions on a block of points, one axis at a time.  Every sweep
+takes its points in the fixed, padded blocks of
 :func:`tidict.kernels.blocks`: memory does not grow with the points, and
 results are deterministic, though a point's last bits may depend on its
 block (see :func:`tidict.kernels.pad_rows`).  :meth:`approx_error`, like
@@ -170,8 +170,8 @@ class LowRankDictionary:
     def approx_inner(self, theta, theta_prime):
         """Inner product between two *approximated* atoms.
 
-        Equals ``rc(theta - theta_prime)`` up to roundoff; computed here
-        through the Gram solve so it reflects the actual surrogate.
+        Equals ``rc(theta - theta_prime)`` up to roundoff; computed as
+        ``(C^-1 c) . (C^-1 c')`` so it reflects the actual surrogate.
         Batched inputs are paired row by row, and taken in the blocks of
         :func:`tidict.kernels.blocks`.
         """
@@ -181,29 +181,27 @@ class LowRankDictionary:
             raise DomainError("theta and theta_prime stacks must have equal length")
         vals = np.empty(a.shape[0])
         for dst, ra, rb in blocks(vals, a, b):
-            c, cp = self.coefficients(ra), self.coefficients(rb)
-            dst[:] = np.sum(c * self.gram.solve_rows(cp), axis=1)[: len(dst)]
+            w = self.gram.whiten(np.concatenate([self.coefficients(ra), self.coefficients(rb)]).T.copy())
+            dst[:] = np.sum(w[:, : len(ra)] * w[:, len(ra) :], axis=0)[: len(dst)]
         return float(vals[0]) if single_a and single_b else vals
 
     def approx_error(self, theta):
         """Euclidean distance between the exact and approximated atom.
 
         Both atoms are unit-norm objects in the continuous space, so the
-        error follows from inner products alone:
-        ``sqrt(1 - 2 <a, a~> + <a~, a~>)``, clipped at zero before the
-        square root to absorb roundoff.
+        squared error is ``1 - 2 k^T G^-1 c + c^T G^-1 c``.  With ``G = C C^T``
+        it is ``|C^-1 (c - k)|^2 + (1 - |C^-1 k|^2)``, the squared distances
+        of the surrogate from the atom's projection onto the node atoms and of
+        that projection from the atom (Schaback, *Adv. Comput. Math.* 3,
+        1995): one :meth:`GramSystem.whiten` of ``[c - k | k]``, clipped at 0.
 
-        Points are taken in the blocks of :func:`tidict.kernels.blocks` by
-        :func:`tidict.kernels.sweep`: the calling thread and at most one
-        pool thread, taking alternate blocks.  Each worker writes a
-        block's coefficients, solve and kernel values into its own
-        workspace of four ``(B, L)`` arrays, ``B`` the first block's
-        length, which the calling thread allocates once per call; the
-        raised-cosine phases and cosine table, ``(B, K)`` each, are taken
-        in the two arrays that the solve and the kernel values fill
-        later, which hold ``max(L, K)`` columns for a kernel with more
-        terms than ``L / 2``.  Nothing else of size ``B L`` is allocated,
-        on any grid.  The errors do not depend on the number of workers.
+        Points are taken in blocks by :func:`tidict.kernels.sweep`.  Each
+        worker has its own workspace of four ``(B, L)`` arrays, ``B`` the
+        first block's length (``max(L, K)`` columns for a kernel of more
+        than ``L / 2`` terms): the coefficients, the kernel values, and the
+        stacked block, in whose two arrays the raised-cosine phases and
+        cosines, ``(B, K)`` each, are taken first.  Nothing else of size
+        ``B L`` is allocated.  The errors do not depend on the workers.
         """
         pts, single = as_param_array(theta, self.dim)
         err = np.empty(pts.shape[0])
@@ -215,16 +213,16 @@ class LowRankDictionary:
 
         def body(dst, ws, rows):
             n = rows.shape[0]
-            c, t, x, r = (w[: n * rank].reshape(n, rank) for w in ws)
-            # the phases and cosines are dead once the solve writes x and r
+            c, k = (w[: n * rank].reshape(n, rank) for w in ws[:2])
+            # the phases and cosines are dead once the stacked block w is written
             phase, trig = (w[: n * terms].reshape(n, terms) for w in ws[2:])
-            self.rc.cross(rows, nodes, out=c, scratch=(phase, trig, t))
-            self.gram.solve_rows(c, out=x, scratch=(t, r))
-            k = self.kernel.cross(rows, self.grid.axes, out=r)
-            approx = np.multiply(c, x, out=t).sum(axis=1)
-            cross = np.multiply(k, x, out=t).sum(axis=1)
-            sq = np.clip(1.0 - 2.0 * cross + approx, 0.0, None)
-            dst[:] = np.sqrt(sq[: len(dst)])
+            w = ws[2:].reshape(-1)[: 2 * n * rank].reshape(rank, 2 * n)
+            self.rc.cross(rows, nodes, out=c, scratch=(phase, trig, k))
+            self.kernel.cross(rows, self.grid.axes, out=k)
+            np.subtract(c.T, k.T, out=w[:, :n])
+            w[:, n:] = k.T
+            sq = np.square(self.gram.whiten(w), out=w).sum(axis=0)
+            dst[:] = np.sqrt(np.clip(sq[:n] + (1.0 - sq[n:]), 0.0, None)[: len(dst)])
 
         sweep(body, err, pts, workspace=workspace)
         return float(err[0]) if single else err

@@ -224,22 +224,61 @@ def lu_solve(matrix, rhs):
     return np.linalg.solve(matrix, rhs)
 
 
+def _mp_gram(gram):
+    """``G[p, q] = prod_a G_a[p_a, q_a]`` in mpmath, from the float64 entries of the axis factors, at the working precision."""
+    idx = list(np.ndindex(*gram.grid.counts))
+    return mpmath.matrix(
+        [[mpmath.fprod(mpmath.mpf(f[i, j]) for f, i, j in zip(gram.factors, p, q)) for q in idx] for p in idx]
+    )
+
+
 def mp_solve(gram, rows, digits=50):
     """``rows G^-1`` at ``digits`` significant digits, from the float64 entries of the axis factors.
 
-    ``G[p, q] = prod_a G_a[p_a, q_a]`` is formed and LU-factored in mpmath,
-    so the result solves the system of the stored factors, whose products
-    float64 would round, to far below float64's resolution; it is rounded
-    to float64 at the end.
+    ``G`` is formed and LU-factored in mpmath, so the result solves the
+    system of the stored factors, whose products float64 would round, to
+    far below float64's resolution; it is rounded to float64 at the end.
     """
-    idx = list(np.ndindex(*gram.grid.counts))
     with mpmath.workdps(digits):
-        matrix = mpmath.matrix(
-            [[mpmath.fprod(mpmath.mpf(f[i, j]) for f, i, j in zip(gram.factors, p, q)) for q in idx] for p in idx]
-        )
+        matrix = _mp_gram(gram)
         return np.array(
             [[float(v) for v in mpmath.lu_solve(matrix, mpmath.matrix(row.tolist()))] for row in np.atleast_2d(rows)]
         )
+
+
+def mp_errors(ld, thetas, digits=50):
+    """Approximation errors ``sqrt(1 - 2 k^T G^-1 c + c^T G^-1 c)`` at ``digits`` significant digits.
+
+    Every input is the float64 value the dictionary stores: ``G`` from the
+    axis factors, ``c_l = rc(theta - theta_l)`` from the kernel's weights
+    and frequencies, ``k_l = exp(-|theta - theta_l|^2 / (4 sigma^2))`` from
+    sigma, and the nodes.  The formula is evaluated in mpmath, so its
+    cancellation costs nothing at float64's resolution; a negative square
+    reads 0, and the result is rounded to float64.
+    """
+    rc, nodes = ld.rc, ld.nodes
+    pts = np.asarray(thetas, dtype=float).reshape(-1, ld.dim)
+    out = np.empty(pts.shape[0])
+    with mpmath.workdps(digits):
+        inverse = mpmath.inverse(_mp_gram(ld.gram))
+        scale = 4 * mpmath.mpf(ld.kernel.sigma) ** 2
+        for n, theta in enumerate(pts):
+            deltas = [[mpmath.mpf(t) - mpmath.mpf(x) for t, x in zip(theta, node)] for node in nodes]
+            c = mpmath.matrix(
+                [
+                    rc.lambda0
+                    + mpmath.fsum(
+                        mpmath.mpf(lam) * mpmath.cos(mpmath.fdot(map(mpmath.mpf, w), d))
+                        for lam, w in zip(rc.weights, rc.freqs)
+                    )
+                    for d in deltas
+                ]
+            )
+            k = mpmath.matrix([mpmath.exp(-mpmath.fsum(x * x for x in d) / scale) for d in deltas])
+            x = inverse * c
+            sq = 1 - 2 * mpmath.fdot(k, x) + mpmath.fdot(c, x)
+            out[n] = float(mpmath.sqrt(max(sq, 0)))
+    return out
 
 
 def lu_node_errors(ld):

@@ -946,6 +946,14 @@ class TestErrorPaths:
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "condition" in capsys.readouterr().err
 
+    def test_a_factor_cholesky_refuses_exits_2(self, tmp_path, capsys):
+        # under a raised limit, eigh calls this axis positive definite (cond 1.26e18) but Cholesky does not
+        payload = config_1d(grid={"origin": 0.0, "spacing": 0.25, "counts": 14}, tolerances={"condition_limit": 1e30})
+        cfg = write_config(tmp_path, payload)
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "not positive definite" in err[0]
+
     @pytest.mark.parametrize(
         "case, message",
         [

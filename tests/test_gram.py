@@ -133,6 +133,9 @@ class TestBuildGram:
         # a strict custom limit trips on an otherwise fine grid
         with pytest.raises(IllConditionedError):
             build_gram(gauss1, NodeGrid([0.0], [1.0], [6]), condition_limit=10.0)
+        # past the limit, Cholesky may refuse a factor that eigh calls positive definite
+        with pytest.raises(IllConditionedError, match="not positive definite"):
+            build_gram(gauss1, NodeGrid([0.0], [0.25], [14]), condition_limit=1e30)
 
     def test_dim_mismatch(self, gauss2):
         with pytest.raises(DomainError):
@@ -189,6 +192,30 @@ class TestGramSystem:
         exact = mp_solve(gram, rows)
         error = np.linalg.norm(gram.solve_rows(rows) - exact, axis=1) / np.linalg.norm(exact, axis=1)
         assert np.max(error) <= 4.0 * gram.condition_number * np.finfo(float).eps
+
+    def test_whiten_refuses_a_block_it_cannot_change_in_place(self):
+        gram = _gram(2, 1.0, (2, 3))
+        block = np.ones((8, 6)).T  # Fortran-ordered, so a reshape would copy it
+        with pytest.raises(DomainError, match="C-contiguous"):
+            gram.whiten(block)
+        # the Cholesky factor of a Kronecker product is the product of the factors'
+        want = np.linalg.solve(np.linalg.cholesky(dense_gram(gram)), block)
+        assert np.max(np.abs(gram.whiten(block.copy()) - want)) < 1e-14
+
+    # (grid, rows): stacks whose length is not a multiple of 8; on 1-D grids such a block's tail rows once got other bits
+    @pytest.mark.parametrize(
+        "grid, n",
+        [(COND_1D, 2531), ((1, 1.0, (32,)), 979), ((2, 1.0, (2, 3)), 1003), ((3, 1.0, (6, 6, 6)), 205)],
+        ids=["cond-1d", "1d-32", "2x3", "6x6x6"],
+    )
+    def test_a_row_solves_alike_in_any_block(self, grid, n):
+        gram = _gram(*grid)
+        rows = np.random.default_rng(n).normal(size=(n, gram.size))
+        want = gram.solve_rows(rows)
+        for size in (1, 3, 8):
+            got = np.concatenate([gram.solve_rows(rows[i : i + size]) for i in range(0, n, size)])
+            assert np.array_equal(got, want), size
+        assert np.array_equal(gram.solve_rows(rows[-1]), want[-1])
 
     @pytest.mark.parametrize("grid", BENCH_GRIDS + [(2, 0.5, (12, 12))])
     def test_condition_number_is_the_product_of_the_axis_numbers(self, grid):

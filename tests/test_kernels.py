@@ -363,7 +363,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_each_worker_runs_its_blocks_in_its_own_workspace(self, monkeypatch, cpus):
-        # 65 rows in 7 blocks, the last padded from 5 rows to 8
+        # 65 rows in 7 blocks of 10, each padded to 16 rows, the last from 5 rows to 8
         self._cpus(monkeypatch, cpus)
         monkeypatch.setattr(tidict.kernels, "_MAX_WORKERS", 3)
         made, seen = [], {}
@@ -378,7 +378,7 @@ class TestSweep:
 
         out = np.empty(65)
         sweep(body, out, np.arange(65.0)[:, None], workspace=workspace)
-        assert made == [10] * cpus
+        assert made == [16] * cpus
         assert sorted(seen) == list(range(7))
         assert all(ws == b % cpus for b, (ws, _) in seen.items())
         threads = {ws: {t for w, t in seen.values() if w == ws} for ws in range(cpus)}

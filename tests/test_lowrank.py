@@ -27,6 +27,7 @@ from oracles import (
     embedded_errors,
     fine_grid_argmax,
     gram_inverse,
+    mp_errors,
 )
 
 
@@ -233,6 +234,25 @@ class TestApproxError:
         for size in range(1, 10):
             blocks = [ld.coefficients(thetas[i : i + size]) for i in range(0, 23, size)]
             assert np.array_equal(np.concatenate(blocks), coeffs), size
+
+    # 1-D blocks whose length is not a multiple of 8, whose tail rows once got other bits
+    @pytest.mark.parametrize("spacing, count, n", [(0.5, 20, 2531), (1.0, 32, 979)])
+    def test_errors_of_a_long_block_do_not_depend_on_its_length(self, monkeypatch, spacing, count, n):
+        ld = LowRankDictionary(build_gram(GaussianIsotropicKernel(sigma=1.0), NodeGrid([0.0], [spacing], [count])))
+        pts = np.random.default_rng(n).uniform(-1.0, count * spacing, size=n)
+        want = ld.approx_error(pts)
+        monkeypatch.setattr(tidict.kernels, "_CHUNK", 8)
+        assert np.array_equal(ld.approx_error(pts), want)
+
+    # cond-1d and the README 2-D grid: uniform points, and one 1e-4 from each node along every axis
+    @pytest.mark.parametrize("dim, spacing, counts, bound", [(1, 0.5, (20,), 2e-9), (2, 1.0, (2, 3), 1e-11)])
+    def test_errors_match_an_extended_precision_reference(self, dim, spacing, counts, bound):
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        ld = LowRankDictionary(build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts)))
+        lower, upper = ld.grid.bounds()
+        uniform = np.random.default_rng(dim).uniform(lower, upper, size=(40 - ld.rank, dim))
+        pts = np.concatenate([uniform, ld.nodes + 1e-4])
+        assert np.max(np.abs(ld.approx_error(pts) - mp_errors(ld, pts))) <= bound
 
     def test_errors_do_not_depend_on_the_cpu_count(self, monkeypatch):
         # 10^5 points in 25 blocks, on one worker and on two
