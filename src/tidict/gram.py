@@ -23,14 +23,17 @@ the node differences, the :class:`~tidict.lowrank.LowRankDictionary`
 constructor decides.
 
 Nodes are a :class:`NodeGrid`, the one record of their layout.  A
-:class:`GramSystem` is given the kernel and the grid, evaluates its axis
-factors from them and keeps both, so a dictionary reads the kernel from
-its Gram system.  Nodes are handled separably: each axis is
-decomposed on its own, then the product of the axis kernels is expanded
-into a flat cosine sum, the Kronecker product of the axis spectra; a 1-D
-grid is the one-axis case.  The resulting term count again satisfies
-``K = floor(L / 2)`` with ``L`` the total node count.  The Gram matrix and
-its Cholesky factor are Kronecker products of per-axis factors, kept so.
+:class:`GramSystem` is given the kernel and the grid and keeps both, so a
+dictionary reads the kernel from its Gram system.  Nodes are handled
+separably, through one record per axis, ``_Axis``: its Gram first row,
+Toeplitz factor, eigenvalues, Cholesky factor and raised-cosine rule are
+computed on first read, and the Gram system, :func:`decompose_grid` and
+:func:`verify_decomposition` all read them.  The product of the axis rules
+is expanded into a flat cosine sum, the Kronecker product of the axis
+spectra; a 1-D grid is the one-axis case.  The resulting term count again
+satisfies ``K = floor(L / 2)`` with ``L`` the total node count.  The Gram
+matrix and its Cholesky factor are Kronecker products of the axis factors,
+kept so.
 """
 
 from __future__ import annotations
@@ -124,17 +127,17 @@ class NodeGrid:
 
 
 class GramSystem:
-    """The positive definite node Gram matrix of ``kernel`` on ``grid``, kept as its axis factors.
+    """The positive definite node Gram matrix of ``kernel`` on ``grid``, kept as its axis records.
 
     ``G[i, j] = kappa(theta_i - theta_j)`` over the nodes of the
-    :class:`NodeGrid` ``grid`` is the Kronecker product of ``factors``, one
-    Toeplitz matrix ``G_a[i, j] = row_a[|i - j|]`` per axis, of the axis's
-    Gram first row: the structure is exact, and in 1-D ``G`` is the kernel
-    at every node displacement bit for bit.  ``G = C C^T``, ``C`` the
-    Kronecker product of the axis Cholesky factors ``cholesky``, never
-    formed.  The axis eigenvalues give the condition number
-    ``lam_max / lam_min``, the product of :attr:`axis_condition_numbers`
-    (``inf`` when ``G`` is not positive definite).  Nodes that are not a
+    :class:`NodeGrid` ``grid`` is the Kronecker product of one Toeplitz
+    factor ``G_a[i, j] = row_a[|i - j|]`` per axis, read from the records
+    ``axes``: the structure is exact, and in 1-D ``G`` is the kernel at every
+    node displacement bit for bit.  ``G = C C^T``, ``C`` the Kronecker
+    product of the axis Cholesky factors ``cholesky``, never formed.  The
+    condition number is the product of the axis eigenvalue maxima over that
+    of their minima, and ``inf`` when an axis minimum is not positive; per
+    axis, :attr:`axis_condition_numbers`.  Nodes that are not a
     :class:`NodeGrid` raise :class:`TypeError`; a condition number beyond
     ``condition_limit``, or a factor that Cholesky refuses, raises
     :class:`IllConditionedError`.
@@ -146,27 +149,19 @@ class GramSystem:
         grid: NodeGrid,
         condition_limit: float = CONDITION_LIMIT,
     ):
-        if not isinstance(grid, NodeGrid):
-            raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
+        self.axes = _axes(kernel, grid)
         lattice_size(grid.counts * 2)  # the dense L x L raised-cosine Gram of psd_margin, and so each factor
-        idx = [np.arange(c) for c in grid.counts]
-        factors = [row[np.abs(i[:, None] - i)] for row, i in zip(_axis_rows(kernel, grid), idx)]
         self.kernel = kernel
         self.grid = grid
-        axis_eigvals = [np.linalg.eigh(f)[0] for f in factors]  # not eigvalsh, whose last bits differ
-        self.axis_condition_numbers = tuple(
-            float(lam[-1] / lam[0]) if lam[0] > 0.0 else math.inf for lam in axis_eigvals
-        )
-        eigvals = reduce(np.kron, axis_eigvals)  # not sorted
-        lo, hi = eigvals.min(), eigvals.max()
-        cond = self.condition_number = float(hi / lo) if lo > 0.0 else math.inf
+        lo, hi = ([a.eigvals[i] for a in self.axes] for i in (0, -1))
+        self.axis_condition_numbers = tuple(float(top / bot) if bot > 0.0 else math.inf for bot, top in zip(lo, hi))
+        cond = self.condition_number = float(math.prod(hi) / math.prod(lo)) if min(lo) > 0.0 else math.inf
         if not math.isfinite(cond) or cond > condition_limit:
             raise IllConditionedError(f"Gram condition number {cond:.3e} exceeds limit {condition_limit:.3e}")
         try:
-            self.cholesky = tuple(map(np.linalg.cholesky, factors))
+            self.cholesky = tuple(a.cholesky for a in self.axes)
         except np.linalg.LinAlgError:
             raise IllConditionedError(f"Gram matrix of condition number {cond:.3e} is not positive definite") from None
-        self.factors = tuple(factors)
 
     @property
     def size(self) -> int:
@@ -210,11 +205,46 @@ def _substitute(mats, block: np.ndarray, upper: bool) -> np.ndarray:
     return block
 
 
-def _axis_rows(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> list[np.ndarray]:
-    """Per axis ``a``, the Gram first row ``kappa(m spacing[a] e_a)``, ``m < counts[a]``: where the kernel meets the nodes."""
+@dataclass(frozen=True, eq=False)
+class _Axis:
+    """One axis of a grid under a kernel: ``count`` nodes ``spacing`` apart, its views computed on first read."""
+
+    kernel: GaussianIsotropicKernel
+    count: int
+    spacing: float
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The Gram first row ``kappa(m spacing e_a)``, ``m < count``: where the kernel meets the nodes."""
+        return self.kernel.axis_factor(np.arange(self.count) * self.spacing, 0.0)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The Toeplitz axis Gram ``G_a[i, j] = row[|i - j|]``."""
+        i = np.arange(self.count)
+        return self.row[np.abs(i[:, None] - i)]
+
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        return np.linalg.eigh(self.factor)[0]  # ascending; not eigvalsh, whose last bits differ
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        return np.linalg.cholesky(self.factor)
+
+    @cached_property
+    def rule(self) -> RaisedCosineKernel:
+        """The axis raised-cosine kernel, :func:`decompose_gram_1d` of :attr:`row`."""
+        return decompose_gram_1d(self.row, self.spacing)
+
+
+def _axes(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> tuple[_Axis, ...]:
+    """The :class:`_Axis` records of ``grid`` under ``kernel``, nothing computed yet."""
+    if not isinstance(grid, NodeGrid):
+        raise TypeError(f"nodes must be a NodeGrid, got {type(grid).__name__}")
     if grid.dim != kernel.dim:
         raise DomainError(f"grid dimension {grid.dim} != kernel dimension {kernel.dim}")
-    return [kernel.axis_factor(np.arange(c) * s, 0.0) for c, s in zip(grid.counts, grid.spacing)]
+    return tuple(_Axis(kernel, c, s) for c, s in zip(grid.counts, grid.spacing))
 
 
 def build_gram(
@@ -262,28 +292,26 @@ def decompose_gram_1d(first_row: np.ndarray, spacing: float) -> RaisedCosineKern
         Gram values ``kappa(m * spacing)`` for ``m = 0 .. L-1``; the first
         entry must be 1 (unit-norm atoms).
     spacing : float
-        Positive node spacing.
+        Positive and finite node spacing.
 
     Raises
     ------
     DomainError
-        If ``first_row`` is not a non-empty 1-D array starting with 1, or
-        ``spacing`` is not positive.
+        If ``first_row`` is not a non-empty finite 1-D array starting with
+        1, or ``spacing`` is not positive and finite.
     NoValidDecomposition
         If the spectral roots are complex or outside [-1, 1] beyond
         tolerance, or a recovered frequency collapses onto zero.
     """
     g = np.atleast_1d(np.asarray(first_row, dtype=float))
-    if g.ndim != 1:
-        raise DomainError("first_row must be one-dimensional")
+    if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g)):
+        raise DomainError("first_row must be a non-empty finite 1-D array")
     spacing = float(spacing)
-    if not spacing > 0.0:
-        raise DomainError(f"spacing must be positive, got {spacing}")
+    if not 0.0 < spacing < math.inf:
+        raise DomainError(f"spacing must be positive and finite, got {spacing}")
     L = g.shape[0]
-    if L < 1:
-        raise DomainError("first_row must contain at least one value")
     if abs(g[0] - 1.0) > 1e-12:
-        raise DomainError(f"first_row[0] must be 1 for unit-norm atoms, got {g[0]!r}")
+        raise DomainError(f"first_row[0] must be 1 for unit-norm atoms, got {float(g[0])}")
 
     if L == 1:
         return RaisedCosineKernel(
@@ -393,17 +421,14 @@ def decompose_gram_separable(
 def decompose_grid(kernel: GaussianIsotropicKernel, grid: NodeGrid) -> RaisedCosineKernel:
     """Raised-cosine kernel meant to match ``kernel`` on all node differences of ``grid``.
 
-    Each axis is decomposed by :func:`decompose_gram_1d` on its Gram first
+    Each axis record's rule, :func:`decompose_gram_1d` of its Gram first
     row (valid for kernels that factor over axes, such as the isotropic
-    Gaussian), and the factors are expanded with
-    :func:`decompose_gram_separable`, a 1-D grid as its one-axis case.
+    Gaussian), is expanded with :func:`decompose_gram_separable`, a 1-D
+    grid as its one-axis case; no axis factor is formed.
     Whether the result is acceptable, its structure and its node residual,
     the :class:`~tidict.lowrank.LowRankDictionary` constructor decides.
     """
-    rows = _axis_rows(kernel, grid)
-    return decompose_gram_separable(
-        [decompose_gram_1d(row, s) for row, s in zip(rows, grid.spacing)]
-    )
+    return decompose_gram_separable([a.rule for a in _axes(kernel, grid)])
 
 
 def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> float:
@@ -412,14 +437,14 @@ def verify_decomposition(gram: GramSystem, rc: RaisedCosineKernel) -> float:
     On the grid both kernels depend only on the index difference ``m``, at
     ``delta = m * spacing``, and both are even, so the differences with
     ``m_0 >= 0`` reach every node pair.  ``kappa`` there is the product of
-    the axis Gram rows, the bits of ``reduce(np.kron, gram.factors)``;
+    the rows of ``gram.axes``, the bits of the Kronecker product of their
+    factors;
     ``rc`` there is its cosine sum alone, :meth:`RaisedCosineKernel.values`,
     taken in the blocks of :func:`tidict.kernels.blocks`.
     """
-    grid = gram.grid
-    steps = [np.arange(0 if a == 0 else 1 - c, c) for a, c in enumerate(grid.counts)]
-    deltas = lattice([m * s for m, s in zip(steps, grid.spacing)])
-    kappa = reduce(np.multiply.outer, [f[0, np.abs(m)] for f, m in zip(gram.factors, steps)]).ravel()
+    steps = [np.arange(0 if n == 0 else 1 - a.count, a.count) for n, a in enumerate(gram.axes)]
+    deltas = lattice([m * a.spacing for m, a in zip(steps, gram.axes)])
+    kappa = reduce(np.multiply.outer, [a.row[np.abs(m)] for a, m in zip(gram.axes, steps)]).ravel()
     worst = np.empty_like(kappa)
     for dst, rows, k in blocks(worst, deltas, kappa):
         dst[:] = np.abs(rc.values(rows) - k)[: len(dst)]

@@ -215,8 +215,8 @@ def sampled_taylor_errors(embedding, center, order, thetas):
 
 
 def dense_gram(gram):
-    """A Gram system's dense ``L x L`` matrix, the Kronecker product of its axis factors."""
-    return reduce(np.kron, gram.factors)
+    """A Gram system's dense ``L x L`` matrix, the Kronecker product of its axis records' factors."""
+    return reduce(np.kron, [a.factor for a in gram.axes])
 
 
 def lu_solve(matrix, rhs):
@@ -228,7 +228,7 @@ def _mp_gram(gram):
     """``G[p, q] = prod_a G_a[p_a, q_a]`` in mpmath, from the float64 entries of the axis factors, at the working precision."""
     idx = list(np.ndindex(*gram.grid.counts))
     return mpmath.matrix(
-        [[mpmath.fprod(mpmath.mpf(f[i, j]) for f, i, j in zip(gram.factors, p, q)) for q in idx] for p in idx]
+        [[mpmath.fprod(mpmath.mpf(a.factor[i, j]) for a, i, j in zip(gram.axes, p, q)) for q in idx] for p in idx]
     )
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -103,8 +104,8 @@ class TestBuildGram:
             assert np.array_equal(dense_gram(gram), oracle), count
 
     def test_peak_memory_is_a_few_gram_matrices(self):
-        # only the axis factors, their eigenpairs and the L eigenvalues are kept:
-        # one L x L array would take 128 MiB here
+        # only the axis records are kept, with their factors, eigenvalues and
+        # Cholesky factors: one L x L array would take 128 MiB here
         grid = NodeGrid([0.0] * 3, [1.0] * 3, [16, 16, 16])
         kernel = GaussianIsotropicKernel(1.0, dim=3)
         tracemalloc.start()
@@ -151,6 +152,13 @@ COND_1D = (1, 0.5, (20,))
 def _gram(dim, spacing, counts):
     kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
     return build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts))
+
+
+def _kernel_factor(count, spacing):
+    """The 1-D Gram matrix of ``count`` nodes ``spacing`` apart at sigma 1, from the kernel at every displacement."""
+    idx = np.arange(count)
+    delta = (idx[:, None] - idx).reshape(-1, 1) * spacing
+    return GaussianIsotropicKernel(sigma=1.0, dim=1).eval(delta).reshape(count, count)
 
 
 def _backward_error(matrix, x, b):
@@ -235,6 +243,22 @@ class TestGramSystem:
         number = float(re.search(r"condition number (\S+) exceeds", str(info.value)).group(1))
         assert math.isfinite(number)
         assert number == pytest.approx(axis**2, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "grid", BENCH_GRIDS + [(2, 0.5, (12, 12))], ids=["2x3", "cond-1d", "6x6x6", "12x12-spacing0.5"]
+    )
+    def test_condition_number_has_the_bits_of_the_kronecker_eigenvalues(self, grid):
+        dim, spacing, counts = grid
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        gram = build_gram(kernel, NodeGrid([0.0] * dim, [spacing] * dim, counts), condition_limit=np.inf)
+        lam = reduce(np.kron, [np.linalg.eigh(_kernel_factor(count, spacing))[0] for count in counts])
+        assert gram.condition_number == float(lam.max() / lam.min())
+
+    def test_two_negative_axis_minima_read_inf(self, gauss2):
+        # both axes read a negative eigh minimum, whose product is positive
+        assert np.linalg.eigh(_kernel_factor(15, 0.25))[0][0] < 0.0
+        with pytest.raises(IllConditionedError, match="condition number inf exceeds limit"):
+            GramSystem(gauss2, NodeGrid([0.0, 0.0], [0.25, 0.25], [15, 15]), condition_limit=np.inf)
 
     @pytest.mark.parametrize("limit", [1e12, np.inf])
     def test_not_positive_definite_is_ill_conditioned(self, gauss1, limit):
@@ -388,6 +412,17 @@ class TestDecompose1D:
         with pytest.raises(DomainError):
             decompose_gram_1d(np.array([1.0, 0.5]), 0.0)
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [1.0, np.nan, 0.2], [1.0, np.inf], [1.0, 0.5, -np.inf]])
+    def test_rejects_a_non_finite_row(self, row, capfd):
+        with pytest.raises(DomainError, match="finite"):
+            decompose_gram_1d(np.array(row), 1.0)
+        assert capfd.readouterr().err == ""  # no LAPACK complaint
+
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan])
+    def test_rejects_a_non_finite_spacing(self, spacing):
+        with pytest.raises(DomainError, match="positive and finite"):
+            decompose_gram_1d(np.array([1.0, 0.5]), spacing)
+
     def test_rejects_out_of_range_correlation(self):
         # |values| above 1 cannot come from unit-norm atoms
         with pytest.raises(NoValidDecomposition):
@@ -444,6 +479,26 @@ class TestDecomposeSeparable:
                 continue
             got = decompose_grid(kernel, grid).to_dict()
             assert json.dumps(got) == json.dumps(axis.to_dict()), L
+
+    # grids that GramSystem refuses: a factor whose eigh minimum is negative, and cond(G) 8.4e23
+    @pytest.mark.parametrize("dim, spacing, count", [(1, 0.25, 15), (2, 0.5, 20)])
+    def test_a_refused_grid_decomposes_without_forming_a_factor(self, dim, spacing, count, monkeypatch):
+        kernel = GaussianIsotropicKernel(sigma=1.0, dim=dim)
+        grid = NodeGrid([0.0] * dim, [spacing] * dim, [count] * dim)
+        with pytest.raises(IllConditionedError):
+            GramSystem(kernel, grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an axis factor was decomposed")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        assert decompose_grid(kernel, grid).rank == count**dim
+
+    def test_node_array_is_refused_as_by_the_gram_system(self, gauss2):
+        for build in (build_gram, decompose_grid):
+            with pytest.raises(TypeError, match="nodes must be a NodeGrid, got ndarray"):
+                build(gauss2, np.zeros((2, 2)))
 
     def test_2d_frozen_values(self, gauss2, grid23):
         rc = decompose_grid(gauss2, grid23)
